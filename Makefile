@@ -2,7 +2,7 @@
 # test suite (unit, integration, property-based, and the persist
 # fault-injection tests in test/test_persist.ml).
 
-.PHONY: check build test bench micro micro-smoke net-smoke cluster-bench cluster-smoke fuzz fuzz-replay doc linkcheck clean
+.PHONY: check build test bench micro micro-smoke net-smoke cluster-bench cluster-smoke twip twip-smoke fuzz fuzz-replay doc linkcheck clean
 
 check: ; dune build && dune runtest
 
@@ -83,6 +83,22 @@ cluster-smoke:
 	grep -q '"keys_moved"' BENCH_cluster_migrate.json \
 		|| { echo "FAIL: migrate run lacks keys_moved" >&2; exit 1; }
 	rm -f BENCH_cluster_migrate.json
+
+# the repository benchmark (twipbench/README.md, BENCHMARK.json): one
+# workload and one seed against a forked 1 home + 1 compute cluster, at
+# BENCHMARK.json's run length; the last stdout line is the result JSON.
+# TRACE=1 reports the per-layer metrics instead of the end-to-end ones.
+# Workloads: twip-warm, twip-cold, twip-write.
+WORKLOAD ?= twip-warm
+SEED ?= 1
+TRACE ?= 0
+
+twip: ; python3 twipbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
+	--seconds 32 --trace $(TRACE)
+
+# every workload at tiny sizes, end-to-end and traced, plus the
+# correctness gate's self-check (about a minute)
+twip-smoke: ; python3 twipbench/smoke_test.py
 
 # model-based differential fuzzing: replay seeded op sequences against
 # the engine and the naive oracle (test/fuzz/).  Deterministic given

@@ -194,6 +194,50 @@ let batch_tests =
     bench_put_path ~name:"server put 1k batched (sorted, updater)" ~batched:true ~updater:true p1k;
   ]
 
+(* The engine's share of a cold timeline read on a compute server: a
+   collect-mode scan misses the user's subscriptions, the host feeds them,
+   the retry misses the followees' posts, the host feeds those, and the
+   last retry computes the timeline. Transport is out of the picture: the
+   feeds come from a precomputed home, so the case is core-layer cost. *)
+let cold_follows = 8
+let cold_posts = 20
+
+let cold_home =
+  List.init cold_follows (fun f -> (Printf.sprintf "s|ann|u%03d" f, "1"))
+  @ List.concat
+      (List.init cold_follows (fun f ->
+           List.init cold_posts (fun i -> (Printf.sprintf "p|u%03d|%010d" f i, "post"))))
+
+(* the home's rows of one fetched range, filtered once per range *)
+let cold_rows =
+  let memo = Hashtbl.create 16 in
+  fun lo hi ->
+    match Hashtbl.find_opt memo lo with
+    | Some rows -> rows
+    | None ->
+      let rows = List.filter (fun (k, _) -> Strkey.in_range ~lo ~hi k) cold_home in
+      Hashtbl.add memo lo rows;
+      rows
+
+let bench_cold_timeline =
+  Test.make ~name:"cold timeline compute (collect miss → feed → retry)"
+    (Staged.stage (fun () ->
+         let s = Engine.create () in
+         Engine.add_join_exn s
+           "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>";
+         Engine.set_resolver s (fun ~table:_ ~lo:_ ~hi:_ -> Engine.Deferred);
+         let rec retry n =
+           match Engine.scan_result s ~lo:"t|ann|" ~hi:"t|ann}" with
+           | `Ok _ -> ()
+           | `Missing _ when n >= 8 -> failwith "cold timeline compute: no convergence"
+           | `Missing ranges ->
+             List.iter
+               (fun (table, lo, hi) -> Engine.feed_base s ~table ~lo ~hi (cold_rows lo hi))
+               ranges;
+             retry (n + 1)
+         in
+         retry 0))
+
 let all_tests =
   [
     bench_rbtree_insert;
@@ -209,6 +253,7 @@ let all_tests =
     bench_codec_roundtrip;
   ]
   @ batch_tests
+  @ [ bench_cold_timeline ]
 
 (** Measured ns/run per benchmark, in declaration order ([None] when the
     OLS fit fails). *)

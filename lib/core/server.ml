@@ -159,6 +159,7 @@ type metrics = {
   resolver_fetch : Obs.Counter.t; (* resolver.fetch *)
   resolver_deferred : Obs.Counter.t; (* resolver.deferred *)
   recomputes : Obs.Counter.t; (* exec.recompute_region *)
+  probe_deferred : Obs.Counter.t; (* exec.probe_deferred *)
   apply_logs : Obs.Counter.t; (* exec.apply_log *)
   evictions : Obs.Counter.t; (* evict.cover *)
   pulls : Obs.Counter.t; (* exec.pull *)
@@ -188,6 +189,7 @@ let make_metrics obs =
     resolver_fetch = Obs.counter obs "resolver.fetch";
     resolver_deferred = Obs.counter obs "resolver.deferred";
     recomputes = Obs.counter obs "exec.recompute_region";
+    probe_deferred = Obs.counter obs "exec.probe_deferred";
     apply_logs = Obs.counter obs "exec.apply_log";
     evictions = Obs.counter obs "evict.cover";
     pulls = Obs.counter obs "exec.pull";
@@ -198,6 +200,10 @@ let make_metrics obs =
     put_bytes = Obs.histogram obs "store.put.bytes";
     put_batch_size = Obs.histogram obs "op.put_batch.size";
   }
+
+(* The misses one collect-mode scan has recorded, with their count so a
+   high-water mark is one field load. *)
+type deferrals = { mutable ranges : (string * string * string) list; mutable count : int }
 
 type t = {
   store : cell Store.t;
@@ -217,7 +223,7 @@ type t = {
      ([Need_fetch]); the scan returns the full deduplicated set so an
      asynchronous host can fetch all of it as one burst. [None] outside
      collect mode (and in blocking deployments). *)
-  mutable deferred_acc : (string * string * string) list ref option;
+  mutable deferred_acc : deferrals option;
 }
 
 let create ?config () =
@@ -376,7 +382,11 @@ let coalesce_valid m ~lo ~hi =
 (* High-water mark of the collect-mode deferral list: a region whose
    execution recorded new misses must not be marked Valid, or output
    computed from absent sources would freeze as fresh. *)
-let deferred_mark t = match t.deferred_acc with Some acc -> List.length !acc | None -> 0
+let deferred_mark t = match t.deferred_acc with Some d -> d.count | None -> 0
+
+(* Only a collect-mode scan with a resolver can defer, so only there is a
+   probe worth its walk. *)
+let probing t = t.resolver <> None && t.deferred_acc <> None
 
 let rec apply_put ?hint ?(shared = false) t key data =
   Obs.Counter.incr t.hot.puts;
@@ -641,8 +651,11 @@ and install_updater t join ~source_idx ~kind ~slo ~shi ~cx =
 
 (* The nested-loop executor (Figs 3 and 5). [skip_source] marks a source
    already bound by the caller (log application / eager check insert).
-   [mode] is [`Materialize cover] (install results, updaters, hints) or
-   [`Collect acc] (pull joins: just produce pairs). *)
+   [mode] is [`Materialize cover] (install results, updaters, hints),
+   [`Collect acc] (pull joins: just produce pairs) or [`Probe] (make every
+   source range ready, binding slots through all but the last source, and
+   produce nothing: the walk a collect-mode scan runs before it commits to
+   materializing). *)
 and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_source =
   Obs.Counter.incr t.hot.exec_runs;
   let spec = join.spec in
@@ -655,6 +668,12 @@ and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_sourc
   let install = match mode with
     | `Materialize _ when Joinspec.maintenance spec = Joinspec.Push -> true
     | _ -> false
+  in
+  (* a probe stops at the last source: its keys could only emit *)
+  let stop =
+    match mode with
+    | `Probe -> if skip_source = nsources - 1 then nsources - 2 else nsources - 1
+    | _ -> nsources
   in
   let agg = if Joinspec.is_aggregate vop then Some (Hashtbl.create 16) else None in
   (* copy emissions are buffered and flushed in key order, so the output
@@ -672,7 +691,8 @@ and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_sourc
         | None -> (
           match mode with
           | `Materialize _ -> copy_buf := (okey, value) :: !copy_buf
-          | `Collect acc -> acc := (okey, value) :: !acc)
+          | `Collect acc -> acc := (okey, value) :: !acc
+          | `Probe -> ())
       end
   in
   let rec loop i b value =
@@ -702,15 +722,16 @@ and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_sourc
              in
              install_updater t join ~source_idx:i ~kind ~slo:ilo ~shi:ihi
                ~cx:{ cx_bindings = b; cx_residual = residual; cx_cover = cover }
-           | `Collect _ -> ());
+           | `Collect _ | `Probe -> ());
         (* safe to iterate live: emissions are buffered until the loop
            finishes, so no store mutation happens during iteration *)
-        Store.iter_range t.store ~lo:slo ~hi:shi (fun k cell ->
-            match Pattern.match_key src.Joinspec.pattern k ~bindings:b with
-            | Some b' ->
-              let value = if i = vs_idx then Some cell.data else value in
-              loop (i + 1) b' value
-            | None -> ())
+        if i <> stop then
+          Store.iter_range t.store ~lo:slo ~hi:shi (fun k cell ->
+              match Pattern.match_key src.Joinspec.pattern k ~bindings:b with
+              | Some b' ->
+                let value = if i = vs_idx then Some cell.data else value in
+                loop (i + 1) b' value
+              | None -> ())
       end
     end
   in
@@ -732,7 +753,8 @@ and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_sourc
         | Some v -> (
           match mode with
           | `Materialize cover -> put_output t cover okey v ~shared:false
-          | `Collect acc -> acc := (okey, v) :: !acc)
+          | `Collect acc -> acc := (okey, v) :: !acc
+          | `Probe -> ())
         | None -> ())
       (List.sort compare groups)
 
@@ -781,7 +803,9 @@ and ensure_source_ready t ~active table ~lo ~hi =
              marked present) and its region is left not-Valid, so the
              retry after the fetch recomputes it with real data *)
           match t.deferred_acc with
-          | Some acc -> acc := (table, plo, phi) :: !acc
+          | Some d ->
+            d.ranges <- (table, plo, phi) :: d.ranges;
+            d.count <- d.count + 1
           | None -> raise (Need_fetch (table, plo, phi))))
       (List.rev !missing)
 
@@ -853,11 +877,17 @@ and touch_covers t involved =
 
 (* Recompute a region from scratch: expand to whole covers, tear them
    down, clear their outputs, re-execute every overlapping join, and mark
-   the region valid. *)
+   the region valid. In a collect-mode scan the region is probed first: if
+   a source is still missing, the region is left exactly as it was (the
+   scan returns [`Missing] and its retry computes the region once). *)
 and recompute_region t ~active m table ~plo ~phi =
-  Obs.Counter.incr t.hot.recomputes;
-  let dmark = deferred_mark t in
-  let t0 = Obs.tick () in
+  let lo, hi, involved = region_plan t ~active table ~plo ~phi in
+  if probe_defers t ~active involved ~lo ~hi then Obs.Counter.incr t.hot.probe_deferred
+  else materialize_region t ~active m table involved ~lo ~hi
+
+(* The region to recompute for status piece [plo, phi): widened to whole
+   covers, with the joins that can output there. *)
+and region_plan t ~active table ~plo ~phi =
   (* expand to cover boundaries (fixpoint) so updater teardown is whole *)
   let lo = ref plo and hi = ref phi in
   let changed = ref true in
@@ -894,6 +924,29 @@ and recompute_region t ~active m table ~plo ~phi =
       if List.mem j.jid active then
         raise (Join_cycle (Printf.sprintf "cyclic evaluation through %s" (Joinspec.to_string j.spec))))
     involved;
+  (lo, hi, involved)
+
+(* Walk every involved join's sources in [`Probe] mode; true when the walk
+   recorded a new deferral. Always false outside a collect-mode scan. *)
+and probe_defers t ~active involved ~lo ~hi =
+  probing t
+  &&
+  let dmark = deferred_mark t in
+  List.iter
+    (fun (j, b0, residual) ->
+      let clo, chi = Pattern.containing_range (Joinspec.output j.spec) ~bindings:b0 ~residual in
+      match Strkey.range_inter (clo, chi) (lo, hi) with
+      | None -> ()
+      | Some out_range ->
+        exec_sources t ~active:(j.jid :: active) j ~bindings:b0 ~residual ~out_range
+          ~mode:`Probe ~skip_source:(-1))
+    involved;
+  deferred_mark t <> dmark
+
+and materialize_region t ~active m table involved ~lo ~hi =
+  Obs.Counter.incr t.hot.recomputes;
+  let dmark = deferred_mark t in
+  let t0 = Obs.tick () in
   (* teardown existing covers in the region *)
   List.iter (fun (j, _, _) -> teardown_covers t j ~lo ~hi) involved;
   (* drop stale outputs of the involved joins *)
@@ -937,8 +990,9 @@ and recompute_region t ~active m table ~plo ~phi =
           expiry := Some (match !expiry with Some e0 -> Float.min e0 e | None -> e)
         | Joinspec.Push | Joinspec.Pull -> ()))
     involved;
-  (* a clean region is fresh; one that deferred stays not-Valid so the
-     post-fetch retry recomputes it (completed covers remain, §3.3) *)
+  (* a clean region is fresh; one that deferred anyway (an updater fired
+     by its outputs met a missing range) stays not-Valid so the post-fetch
+     retry recomputes it *)
   if deferred_mark t = dmark then begin
     Range_map.set m.status ~lo ~hi { state = Valid { expires = !expiry } };
     coalesce_valid m ~lo ~hi
@@ -971,10 +1025,40 @@ and teardown_covers t j ~lo ~hi =
 
 (* Apply a partial-invalidation log to one status piece (§3.2): each
    logged check-source change is joined against the other sources,
-   restricted to the piece. *)
+   restricted to the piece. In a collect-mode scan the log is probed
+   first: if a source is still missing, the piece stays Pending with its
+   log intact, for the retry to replay. *)
 and apply_log t ~active m ~plo ~phi entries =
-  Obs.Counter.incr t.hot.apply_logs;
   let dmark = deferred_mark t in
+  if probing t then replay_log t ~active m ~plo ~phi ~probe:true entries;
+  if deferred_mark t <> dmark then Obs.Counter.incr t.hot.probe_deferred
+  else begin
+    Obs.Counter.incr t.hot.apply_logs;
+    replay_log t ~active m ~plo ~phi ~probe:false entries;
+    if deferred_mark t = dmark then begin
+      Range_map.update_range m.status ~lo:plo ~hi:phi (fun _ _ stv ->
+          match stv with
+          | Some st ->
+            (match st.state with Pending _ -> st.state <- Valid { expires = None } | _ -> ());
+            Some st
+          | None -> None);
+      coalesce_valid m ~lo:plo ~hi:phi
+    end
+    else
+      (* the log was replayed against absent sources: downgrade to Invalid
+         so the retry recomputes wholesale instead of re-playing a log we
+         have already consumed *)
+      Range_map.update_range m.status ~lo:plo ~hi:phi (fun _ _ stv ->
+          match stv with
+          | Some st ->
+            (match st.state with Pending _ -> st.state <- Invalid | _ -> ());
+            Some st
+          | None -> None)
+  end
+
+(* One pass over a log; with [~probe:true] it only makes the sources the
+   replay would read ready, and changes nothing else. *)
+and replay_log t ~active m ~plo ~phi ~probe entries =
   List.iter
     (fun e ->
       let join = e.le_join in
@@ -1004,38 +1088,26 @@ and apply_log t ~active m ~plo ~phi entries =
                 | None -> () (* the logged binding cannot output in this piece *)
                 | Some merged ->
                   exec_sources t ~active join ~bindings:merged ~residual:residual_piece
-                    ~out_range:(olo, ohi) ~mode:(`Materialize cover) ~skip_source:e.le_source)
+                    ~out_range:(olo, ohi)
+                    ~mode:(if probe then `Probe else `Materialize cover)
+                    ~skip_source:e.le_source)
             end
           | None ->
             (* cover vanished (evicted): recompute wholesale *)
-            recompute_region t ~active m (Pattern.table (Joinspec.output join.spec)) ~plo ~phi)
+            let table = Pattern.table (Joinspec.output join.spec) in
+            if probe then begin
+              let lo, hi, involved = region_plan t ~active table ~plo ~phi in
+              ignore (probe_defers t ~active involved ~lo ~hi)
+            end
+            else recompute_region t ~active m table ~plo ~phi)
+        | Remove when probe -> ()
         | Remove ->
           (* retract outputs of this binding, restricted to the piece *)
           let out = Joinspec.output join.spec in
           let olo, ohi = Pattern.containing_range out ~bindings:b ~residual:e.le_residual in
-          ignore out;
           let olo = Strkey.max_str olo plo and ohi = Strkey.min_str ohi phi in
           if String.compare olo ohi < 0 then retract_binding t join b ~lo:olo ~hi:ohi))
-    entries;
-  if deferred_mark t = dmark then begin
-    Range_map.update_range m.status ~lo:plo ~hi:phi (fun _ _ stv ->
-        match stv with
-        | Some st ->
-          (match st.state with Pending _ -> st.state <- Valid { expires = None } | _ -> ());
-          Some st
-        | None -> None);
-    coalesce_valid m ~lo:plo ~hi:phi
-  end
-  else
-    (* the log was replayed against absent sources: downgrade to Invalid
-       so the retry recomputes wholesale instead of re-playing a log we
-       have already consumed *)
-    Range_map.update_range m.status ~lo:plo ~hi:phi (fun _ _ stv ->
-        match stv with
-        | Some st ->
-          (match st.state with Pending _ -> st.state <- Invalid | _ -> ());
-          Some st
-        | None -> None)
+    entries
 
 (* LRU eviction of computed covers under memory pressure (§2.5). *)
 and maybe_evict t =
@@ -1409,17 +1481,19 @@ let warm_fast_path t ~lo ~hi =
       && (match expires with None -> true | Some e -> now t < e)
     | _ -> false)
 
-(** Non-blocking scan for asynchronous deployments: either the results, or
-    the base ranges that must be fetched before retrying (§3.3). One pass
-    collects every missing range it can see (a check join fans out over
-    all bound value ranges at once) and completed covers stay valid, so
-    the retry never recomputes finished work. With [~may_defer:false] the
-    scan never enters collect mode: a [Deferred] resolver answer aborts at
-    the first miss, for callers with no retry loop above them. *)
 (* first [n] elements of [l] (all of [l] when shorter) *)
 let rec take n l =
   match l with x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> []
 
+(** Non-blocking scan for asynchronous deployments: either the results, or
+    the base ranges that must be fetched before retrying (§3.3). One pass
+    collects every missing range it can see (a check join fans out over
+    all bound value ranges at once). A region with a missing source is
+    probed, not materialized, so the retry that finds every source
+    present computes it once; completed covers stay valid. With
+    [~may_defer:false] the scan never enters collect mode: a [Deferred]
+    resolver answer aborts at the first miss, for callers with no retry
+    loop above them. *)
 let scan_result ?limit ?(may_defer = true) t ~lo ~hi =
   Obs.Counter.incr t.hot.scans;
   let t0 = Obs.tick () in
@@ -1459,14 +1533,14 @@ let scan_result ?limit ?(may_defer = true) t ~lo ~hi =
        asynchronous host can fetch it as one burst. Saved/restored rather
        than assumed-None for re-entrancy (a resolver or hook that scans). *)
     let saved = t.deferred_acc in
-    let acc = ref [] in
+    let acc = { ranges = []; count = 0 } in
     if may_defer then t.deferred_acc <- Some acc;
     match
       Fun.protect ~finally:(fun () -> t.deferred_acc <- saved) (fun () ->
           validate_range t ~active:[] ~lo ~hi;
           pull_results t ~lo ~hi)
     with
-    | pulled when !acc <> [] ->
+    | pulled when acc.count > 0 ->
       ignore pulled;
       (* first-discovery order, deduplicated: the same gap can surface
          once per join source that reads it *)
@@ -1479,7 +1553,7 @@ let scan_result ?limit ?(may_defer = true) t ~lo ~hi =
                Hashtbl.add seen r ();
                true
              end)
-           (List.rev !acc))
+           (List.rev acc.ranges))
     | pulled ->
       let stored = bounded_stored () in
       (* merge, preferring materialized values on key collisions. The

@@ -82,11 +82,13 @@ val get : t -> string -> string option
     One pass collects {e every} missing range it can currently see (a
     check join fans out over all bound value ranges at once), in
     first-discovery order without duplicates, so an asynchronous host
-    can issue the whole set as one fetch burst. Completed covers stay
-    valid across retries (§3.3 restart behaviour), so a retry never
-    recomputes finished work — though a retry may surface ranges that
-    were unreachable before the first feed (a check source gates which
-    value ranges are scanned). *)
+    can issue the whole set as one fetch burst. A region whose sources
+    are not all local is only probed — its sources are made ready and
+    its check sources iterated, but no output is written and no updater
+    installed — so it is computed once, by the first retry that finds
+    every source present; regions completed on an earlier pass stay
+    valid. A retry may surface ranges that were unreachable before the
+    first feed (a check source gates which value ranges are scanned). *)
 type scan_result =
   [ `Ok of (string * string) list
   | `Missing of (string * string * string) list ]

@@ -448,28 +448,130 @@ let test_sync_resolver () =
   ignore (timeline s "ann");
   check_int "no refetch when present" f1 !fetches
 
+(* keys of [table] resident in the engine, computed or not *)
+let resident s table =
+  let acc = ref [] in
+  Server.iter_pairs s (fun k v ->
+      if Pequod_store.Store.table_name_of k = table then acc := (k, v) :: !acc);
+  List.sort compare !acc
+
 let test_deferred_resolver () =
   (* asynchronous backing store: scan_result reports what to fetch; the
-     host feeds it and retries without recomputing completed work *)
-  let pending = ref None in
+     host feeds it and retries. A region with a missing source is probed,
+     never materialized: the miss pass leaves no output and no updater, so
+     the feed fires nothing and the retry computes the region once *)
+  let db = [ ("p|bob|0100", "hello"); ("p|liz|0120", "liz here"); ("p|liz|0090", "early") ] in
+  let rows lo hi = List.filter (fun (k, _) -> Strkey.in_range ~lo ~hi k) db in
+  let pending = ref [] in
   let s = make_twip () in
   Server.set_resolver s (fun ~table ~lo ~hi ->
-      if table = "p" then begin
-        pending := Some (table, lo, hi);
+      if table <> "p" then Server.Local
+      else if String.starts_with ~prefix:"p|bob|" lo then Server.Resolved (rows lo hi)
+      else begin
+        pending := (table, lo, hi) :: !pending;
         Server.Deferred
-      end
-      else Server.Local);
+      end);
   subscribe s "ann" "bob";
-  (match Server.scan_result s ~lo:"t|ann|" ~hi:(Strkey.prefix_upper "t|ann|") with
-  | `Missing [ (table, _, _) ] -> Alcotest.(check string) "missing table" "p" table
+  subscribe s "ann" "liz";
+  let installed = Server.counter s "updater.installed" in
+  let lo = "t|ann|" and hi = Strkey.prefix_upper "t|ann|" in
+  (match Server.scan_result s ~lo ~hi with
+  | `Missing [ (table, mlo, _) ] ->
+    Alcotest.(check string) "missing table" "p" table;
+    check_bool "liz is the miss" true (String.starts_with ~prefix:"p|liz|" mlo)
   | `Missing _ | `Ok _ -> Alcotest.fail "expected one missing range");
+  check_pairs "no output before the feed" [] (resident s "t");
+  check_int "no updater installed" installed (Server.counter s "updater.installed");
+  check_int "region probed, not recomputed" 0 (Server.counter s "exec.recompute_region");
+  check_int "probe deferred" 1 (Server.counter s "exec.probe_deferred");
+  let runs = Server.counter s "updater.run" in
   (match !pending with
-  | Some (table, lo, hi) ->
-    Server.feed_base s ~table ~lo ~hi [ ("p|bob|0100", "hello") ]
-  | None -> Alcotest.fail "resolver not consulted");
-  (match Server.scan_result s ~lo:"t|ann|" ~hi:(Strkey.prefix_upper "t|ann|") with
-  | `Ok pairs -> check_pairs "after feed" [ ("t|ann|0100|bob", "hello") ] pairs
+  | [ (table, flo, fhi) ] -> Server.feed_base s ~table ~lo:flo ~hi:fhi (rows flo fhi)
+  | _ -> Alcotest.fail "resolver not consulted exactly once");
+  check_int "feed fires no updater" runs (Server.counter s "updater.run");
+  let blocking = make_twip () in
+  List.iter (fun (k, v) -> Server.put blocking k v) (("s|ann|bob", "1") :: ("s|ann|liz", "1") :: db);
+  (match Server.scan_result s ~lo ~hi with
+  | `Ok pairs -> check_pairs "retry == blocking engine" (timeline blocking "ann") pairs
   | `Missing _ -> Alcotest.fail "should be resolved now");
+  check_int "computed once" 1 (Server.counter s "exec.recompute_region");
+  Server.validate s
+
+let test_deferred_chained_probe () =
+  (* the probe of a check join reaches the middle table's validate_range
+     through ensure_source_ready; the middle region's own probe meets the
+     missing base range, so neither join materializes anything *)
+  let mid = "mid|<x>|<y> = copy base|<x>|<y>" in
+  let top = "top|<u>|<y>|<x> = check s|<u>|<x> copy mid|<x>|<y>" in
+  let base = [ ("base|a|1", "v1"); ("base|a|2", "v2"); ("base|b|1", "w") ] in
+  let rows lo hi = List.filter (fun (k, _) -> Strkey.in_range ~lo ~hi k) base in
+  let s = Server.create () in
+  Server.add_join_exn s mid;
+  Server.add_join_exn s top;
+  Server.set_resolver s (fun ~table ~lo:_ ~hi:_ ->
+      if table = "base" then Server.Deferred else Server.Local);
+  Server.put s "s|ann|a" "1";
+  let lo = "top|ann|" and hi = Strkey.prefix_upper "top|ann|" in
+  let missing =
+    match Server.scan_result s ~lo ~hi with
+    | `Missing [ (("base", _, _) as r) ] -> r
+    | `Missing _ | `Ok _ -> Alcotest.fail "expected the base range of a"
+  in
+  check_pairs "no middle output" [] (resident s "mid");
+  check_pairs "no top output" [] (resident s "top");
+  check_int "nothing installed" 0 (Server.counter s "updater.installed");
+  check_int "both regions deferred" 2 (Server.counter s "exec.probe_deferred");
+  check_int "nothing recomputed" 0 (Server.counter s "exec.recompute_region");
+  let table, flo, fhi = missing in
+  Server.feed_base s ~table ~lo:flo ~hi:fhi (rows flo fhi);
+  let blocking = Server.create () in
+  Server.add_join_exn blocking mid;
+  Server.add_join_exn blocking top;
+  List.iter (fun (k, v) -> Server.put blocking k v) (("s|ann|a", "1") :: base);
+  (match Server.scan_result s ~lo ~hi with
+  | `Ok pairs -> check_pairs "retry == blocking engine" (Server.scan blocking ~lo ~hi) pairs
+  | `Missing _ -> Alcotest.fail "should be resolved now");
+  check_int "each region computed once" 2 (Server.counter s "exec.recompute_region");
+  Server.validate s
+
+let test_deferred_log_replay () =
+  (* a pending log whose replay would read a missing range stays pending,
+     log intact: the retry replays it instead of recomputing wholesale *)
+  let db = [ ("p|bob|0100", "hello"); ("p|liz|0120", "liz here") ] in
+  let rows lo hi = List.filter (fun (k, _) -> Strkey.in_range ~lo ~hi k) db in
+  let pending = ref [] in
+  let s = make_twip () in
+  Server.set_resolver s (fun ~table ~lo ~hi ->
+      if table <> "p" then Server.Local
+      else if String.starts_with ~prefix:"p|bob|" lo then Server.Resolved (rows lo hi)
+      else begin
+        pending := (table, lo, hi) :: !pending;
+        Server.Deferred
+      end);
+  subscribe s "ann" "bob";
+  let lo = "t|ann|" and hi = Strkey.prefix_upper "t|ann|" in
+  (match Server.scan_result s ~lo ~hi with
+  | `Ok pairs -> check_pairs "warm" [ ("t|ann|0100|bob", "hello") ] pairs
+  | `Missing _ -> Alcotest.fail "bob resolves inline");
+  (* lazy check: the new subscription logs against the valid timeline *)
+  subscribe s "ann" "liz";
+  let recomputes = Server.counter s "exec.recompute_region" in
+  let replays = Server.counter s "exec.apply_log" in
+  (match Server.scan_result s ~lo ~hi with
+  | `Missing [ ("p", _, _) ] -> ()
+  | `Missing _ | `Ok _ -> Alcotest.fail "expected liz's range");
+  check_int "log not replayed" replays (Server.counter s "exec.apply_log");
+  check_int "probe deferred" 1 (Server.counter s "exec.probe_deferred");
+  check_pairs "old output kept" [ ("t|ann|0100|bob", "hello") ] (resident s "t");
+  (match !pending with
+  | [ (table, flo, fhi) ] -> Server.feed_base s ~table ~lo:flo ~hi:fhi (rows flo fhi)
+  | _ -> Alcotest.fail "resolver not consulted exactly once");
+  (match Server.scan_result s ~lo ~hi with
+  | `Ok pairs ->
+    check_pairs "replayed" [ ("t|ann|0100|bob", "hello"); ("t|ann|0120|liz", "liz here") ] pairs
+  | `Missing _ -> Alcotest.fail "should be resolved now");
+  check_int "log replayed once" (replays + 1) (Server.counter s "exec.apply_log");
+  check_int "no wholesale recompute" recomputes (Server.counter s "exec.recompute_region");
   Server.validate s
 
 (* ------------------------------------------------------------------ *)
@@ -730,6 +832,8 @@ let () =
         [
           Alcotest.test_case "sync" `Quick test_sync_resolver;
           Alcotest.test_case "deferred" `Quick test_deferred_resolver;
+          Alcotest.test_case "deferred chained probe" `Quick test_deferred_chained_probe;
+          Alcotest.test_case "deferred log replay" `Quick test_deferred_log_replay;
         ] );
       ( "properties",
         qsuite
