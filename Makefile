@@ -2,7 +2,7 @@
 # test suite (unit, integration, property-based, and the persist
 # fault-injection tests in test/test_persist.ml).
 
-.PHONY: check build test bench micro micro-smoke net-smoke cluster-bench cluster-smoke twip twip-smoke fuzz fuzz-replay doc linkcheck clean
+.PHONY: check build test bench micro micro-smoke net-smoke cluster-bench cluster-smoke twip twip-smoke fuzz fuzz-replay doc linkcheck loc clean
 
 check: ; dune build && dune runtest
 
@@ -121,5 +121,12 @@ doc: ; dune build @doc-private
 
 # check that every relative markdown link in *.md / docs/*.md resolves
 linkcheck: ; sh tools/check_md_links.sh
+
+# source size: .ml + .mli line totals for lib/ and lib/net, the numbers
+# ROADMAP.md tracks for the design-quality aim
+loc:
+	@for d in lib lib/net; do \
+		printf '%-8s %s\n' "$$d" "$$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"; \
+	done
 
 clean: ; dune clean

@@ -28,6 +28,7 @@
 module Net_server = Pequod_server_lib.Net_server
 module Remote = Pequod_server_lib.Remote
 module Shard = Pequod_server_lib.Shard
+module Directory = Pequod_server_lib.Directory
 module Config = Pequod_core.Config
 
 open Cmdliner
@@ -116,9 +117,10 @@ let partitions =
     value & opt_all string []
     & info [ "partition" ] ~docv:"TABLE[:LO:HI][@HOST:PORT]"
         ~doc:
-          "Base-table partition route (repeatable). Bare $(b,TABLE) covers the whole table. \
-           With $(b,@HOST:PORT) (or a single $(b,--peer)) the range is owned by that home \
-           server and fetched+subscribed on first need; otherwise this process is its home.")
+          "Base-table placement (repeatable). Bare $(b,TABLE) covers the whole table. \
+           With $(b,@HOST:PORT) (or a single $(b,--peer)) the range's home is that server: \
+           reads of it are fetched+subscribed on first need and writes sent here are \
+           forwarded there; otherwise this process is its home. Table $(b,*) is reserved.")
 
 let advertise =
   Arg.(
@@ -226,7 +228,7 @@ let initial_dir_fetch dir seed_addr =
               Logs.warn (fun m ->
                   m "directory seed %s has no entries yet (epoch 0)" seed_addr)
             else
-              match Pequod_server_lib.Directory.install dir ~epoch ~entries with
+              match Directory.install dir ~epoch ~entries with
               | Ok () -> ()
               | Error msg ->
                 Logs.err (fun m -> m "directory from seed %s rejected: %s" seed_addr msg))
@@ -293,98 +295,57 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
         m "--directory followers take all routes from the seed; drop --partition/--peer");
     1
   end
-  else if dir_host || directory <> None then begin
-    (* directory mode: routing truth lives in the partition directory,
-       seeded here (--dir-host) or polled from the seed (--directory) *)
-    let module Directory = Pequod_server_lib.Directory in
-    let module Message = Pequod_proto.Message in
+  else
+    (* one start-up for every unsharded topology: the placement is
+       pinned from --partition specs, seeded from them at epoch 1
+       (--dir-host), or polled from a seed (--directory) *)
     match
       Net_server.create ~config ?metrics_every:metrics_dump ~port ~joins ~memory_limit ()
     with
+    | exception Failure msg ->
+      Logs.err (fun m -> m "%s" msg);
+      1
     | t -> (
       let self_addr = Printf.sprintf "%s:%d" advertise (Net_server.port t) in
-      let dir = Directory.create () in
-      let seeded =
-        if not dir_host then Ok ()
-        else
-          match Remote.routes_of_specs ~peers partitions with
-          | Error _ as e -> e
-          | Ok [] -> Ok () (* epoch 0 until pequod_ctl dir-seed *)
-          | Ok routes ->
-            if List.exists (fun r -> String.equal r.Remote.r_table "*") routes then
-              Error "wildcard --partition specs cannot seed the directory"
-            else
-              let entries =
-                List.map
-                  (fun (r : Remote.route) ->
-                    { Message.de_table = r.r_table; de_lo = r.r_lo; de_hi = r.r_hi;
-                      de_home = Option.value r.r_addr ~default:self_addr;
-                      de_replicas = [] })
-                  routes
-              in
-              Directory.install dir ~epoch:1 ~entries
+      let placement =
+        match Directory.of_specs ~peers ~self:self_addr partitions with
+        | Error _ as e -> e
+        | Ok entries when dir_host || directory <> None ->
+          let dir = Directory.create () in
+          (* an empty seed waits at epoch 0 for pequod_ctl dir-seed *)
+          if entries = [] then Ok dir
+          else Result.map (fun () -> dir) (Directory.install dir ~epoch:1 ~entries)
+        | Ok entries -> Directory.pin entries
       in
-      match seeded with
+      match placement with
       | Error msg ->
         Logs.err (fun m -> m "%s" msg);
+        Net_server.stop t;
         1
-      | Ok () ->
+      | Ok dir ->
         Option.iter (initial_dir_fetch dir) directory;
         Net_server.set_directory t ?seed:directory ~hot_threshold ~dir ~self_addr ();
-        let tick =
-          Remote.attach
-            (Remote.Config.make ~check_every:sub_check_every
-               ~on_wait:(Net_server.on_wait t) ~engine:(Net_server.engine t) ~self_addr
-               (Remote.Config.directory ~poll_every:dir_poll_every ?seed:directory dir))
-        in
-        Net_server.add_ticker t tick;
+        Net_server.add_ticker t
+          (Remote.attach
+             (Remote.Config.make ~check_every:sub_check_every ~poll_every:dir_poll_every
+                ?seed:directory ~on_wait:(Net_server.on_wait t) ~server:t
+                ~engine:(Net_server.engine t) ~self_addr dir));
         Logs.app (fun m ->
-            m "pequod-server listening on port %d with %d joins, directory %s (epoch %d)%s"
+            m "pequod-server listening on port %d with %d joins, %s (epoch %d)%s"
               (Net_server.port t)
               (List.length (Pequod_core.Server.joins (Net_server.engine t)))
               (match directory with
-              | None -> "seed"
-              | Some s -> "follower of " ^ s)
+              | _ when Directory.pinned dir ->
+                Printf.sprintf "static placement of %d ranges"
+                  (List.length (Directory.entries dir))
+              | None -> "directory seed"
+              | Some s -> "directory follower of " ^ s)
               (Directory.epoch dir)
               (match data_dir with
               | Some dir -> Printf.sprintf " (durable in %s)" dir
               | None -> ""));
         Net_server.run t;
         0)
-    | exception Failure msg ->
-      Logs.err (fun m -> m "%s" msg);
-      1
-  end
-  else
-  match Remote.routes_of_specs ~peers partitions with
-  | Error msg ->
-    Logs.err (fun m -> m "%s" msg);
-    1
-  | Ok routes -> (
-    match
-      Net_server.create ~config ?metrics_every:metrics_dump ~port ~joins ~memory_limit ()
-    with
-    | t ->
-      let self_addr = Printf.sprintf "%s:%d" advertise (Net_server.port t) in
-      let heal =
-        Remote.attach
-          (Remote.Config.make ~check_every:sub_check_every ~server:t
-             ~engine:(Net_server.engine t) ~self_addr (Remote.Config.Static routes))
-      in
-      Net_server.add_ticker t heal;
-      Logs.app (fun m ->
-          m "pequod-server listening on port %d with %d joins, %d partition routes%s"
-            (Net_server.port t)
-            (List.length (Pequod_core.Server.joins (Net_server.engine t)))
-            (List.length routes)
-            (match data_dir with
-            | Some dir -> Printf.sprintf " (durable in %s)" dir
-            | None -> ""));
-      Net_server.run t;
-      0
-    | exception Failure msg ->
-      Logs.err (fun m -> m "%s" msg);
-      1)
 
 let cmd =
   Cmd.v

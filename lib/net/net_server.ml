@@ -13,15 +13,16 @@
     and a wakeup pipe. Everything else — including {!step} — must be
     called from the owning domain.
 
-    In shard mode ({!set_router}) a request arriving on a connection
-    handed over by the acceptor is routed by key ownership: reads and
-    writes whose key belongs to a sibling shard are forwarded over the
-    sibling's own protocol port, scans and fetches are served locally
-    through the engine's resolver (which fetches+subscribes sibling
-    slices exactly like a compute server fetches from a home), and
-    [Add_join]/[Stats_full] fan out to every shard. Requests arriving on
-    this shard's own listener (sibling forwards, sibling fetches,
-    subscription pushes) are always applied locally — forwarding them
+    Every request routes by the server's placement ({!set_directory}):
+    one ownership map for static [--partition] specs, shard cuts and
+    the live partition directory alike. Writes of a governed key go to
+    its home, reads to its home or a replica, and scans are served
+    piece by piece across homes; everything the placement does not
+    govern (join outputs, local tables) is served here. In shard mode
+    ({!set_shard}) only connections handed over by the acceptor are
+    routed, and [Add_join]/[Stats_full] fan out to every shard; requests
+    arriving on a shard's own listener (sibling forwards, fetches,
+    subscription pushes) are always applied locally — routing them
     again could loop. *)
 
 module Server = Pequod_core.Server
@@ -122,23 +123,14 @@ type stamp_wait = {
   mutable sw_fetch_failed : bool; (* refetch failed: owner unreachable, fail [Stale] *)
 }
 
-(* Shard routing, installed by the shard layer (see shard.ml). [rt_call]
-   and [rt_post] speak to sibling shard [i] over its own protocol port;
-   [rt_stats] aggregates Stats_full across every shard. *)
-type router = {
-  rt_self : int;
-  rt_owner : string -> int;
-  rt_route_scan : lo:string -> hi:string -> int option;
-      (* Some shard when the whole range lives in one slice; None =
-         scatter to every shard and merge *)
-  rt_call : int -> Message.request -> Message.response;
-  rt_post : int -> Message.request -> unit;
-  rt_siblings : int list;
-  rt_stats : unit -> (string * Obs.value) list;
-  rm_ops : Obs.Counter.t; (* shard.ops: requests handled by this shard *)
-  rm_client_ops : Obs.Counter.t; (* shard.client.ops: acceptor-handed requests *)
-  rm_forward_out : Obs.Counter.t; (* shard.forward.out: requests sent to siblings *)
-  rm_forward_in : Obs.Counter.t; (* shard.forward.in: forwards received *)
+(* Shard mode, installed by the shard layer ([set_shard]): only
+   acceptor-handed connections are routed, and [sh_stats] aggregates
+   Stats_full across every shard. *)
+type sharding = {
+  sh_stats : unit -> (string * Obs.value) list;
+  sh_ops : Obs.Counter.t; (* shard.ops: requests handled by this shard *)
+  sh_client_ops : Obs.Counter.t; (* shard.client.ops: acceptor-handed requests *)
+  sh_forward_in : Obs.Counter.t; (* shard.forward.in: forwards received *)
 }
 
 (* One live range migration (§ docs/PARTITIONING.md): this server is the
@@ -159,25 +151,19 @@ type migration = {
   mg_reply : Unix.file_descr; (* the ctl connection awaiting the answer *)
 }
 
-(* Directory-mode state, installed by [set_directory]: this server's
-   copy of the partition directory (authoritative when [ds_seed] is
-   [None]), plus the migration driver and hotspot read tallies. *)
-type dirstate = {
-  ds_dir : Directory.t;
-  ds_self : string; (* this server's advertised host:port *)
-  ds_seed : string option; (* the seed's address; None: this IS the seed *)
-  ds_hot_threshold : float; (* reads/s per owned range; 0 disables detection *)
-  ds_hot_every : float; (* detection window, seconds *)
-  mutable ds_hot_last : float;
-  ds_reads : (string * string * string, int ref) Hashtbl.t; (* per-owned-range tallies *)
-  mutable ds_mig : migration option; (* at most one migration at a time *)
-  ds_calls : (string, Net_client.t) Hashtbl.t; (* call-mode peer clients *)
-  ds_m_epoch : Obs.Gauge.t; (* dir.epoch *)
-  ds_m_keys : Obs.Counter.t; (* migrate.keys_moved *)
-  ds_m_delta : Obs.Counter.t; (* migrate.delta_replayed *)
-  ds_m_redirect : Obs.Counter.t; (* migrate.redirects *)
-  ds_m_replica_reads : Obs.Counter.t; (* replica.reads *)
-  ds_m_hot : Obs.Counter.t; (* hotspot.detected *)
+(* The placement every request routes by, installed by
+   [set_directory]: this server's copy of the partition directory
+   (authoritative when [pl_seed] is [None]) or a pinned static one,
+   plus the migration driver and hotspot read tallies. *)
+type placement = {
+  pl_dir : Directory.t;
+  pl_self : string; (* this server's advertised host:port *)
+  pl_seed : string option; (* the seed's address; None: this IS the seed *)
+  pl_hot_threshold : float; (* reads/s per owned range; 0 disables detection *)
+  pl_hot_every : float; (* detection window, seconds *)
+  mutable pl_hot_last : float;
+  pl_reads : (string * string * string, int ref) Hashtbl.t; (* per-owned-range tallies *)
+  mutable pl_mig : migration option; (* at most one migration at a time *)
 }
 
 type t = {
@@ -204,10 +190,13 @@ type t = {
      services them freely; that is what lets a ring of mutually blocked
      shards finish each other's parked scans instead of deadlocking. *)
   mutable in_engine : bool;
-  mutable router : router option;
-  mutable dirst : dirstate option; (* directory mode (see [set_directory]) *)
-  (* a nested [step] used as the write-forwarding clients' [on_wait]
-     hook, bound on the first real step (it cannot be built in [create]
+  mutable pl : placement;
+  mutable shard : sharding option;
+  (* call-mode clients for the peers the placement names (forwards,
+     Add_join fan-out, shard stats): the one forwarding path *)
+  callers : (string, Net_client.t) Hashtbl.t;
+  (* a nested [step] used as the forwarding clients' [on_wait] hook,
+     bound on the first real step (it cannot be built in [create]
      because [step] is defined later) *)
   mutable nested_step : unit -> unit;
   persist : Persist.t option; (* durability manager, when --data-dir is set *)
@@ -255,10 +244,21 @@ type t = {
   m_stale_waits : Obs.Counter.t; (* session.stale_waits *)
   m_stale_errors : Obs.Counter.t; (* session.stale_errors *)
   m_stamp_wait : Obs.Histogram.t; (* stamp.wait_ns *)
+  m_epoch : Obs.Gauge.t; (* dir.epoch *)
+  m_forward_out : Obs.Counter.t; (* shard.forward.out: requests forwarded to a peer *)
+  m_keys : Obs.Counter.t; (* migrate.keys_moved *)
+  m_delta : Obs.Counter.t; (* migrate.delta_replayed *)
+  m_replica_reads : Obs.Counter.t; (* replica.reads *)
+  m_hot : Obs.Counter.t; (* hotspot.detected *)
 }
 
 (* placeholder compared by physical equality; see [nested_step] *)
 let no_nested = fun () -> ()
+
+let placement ?seed ?(hot_threshold = 0.) ?(hot_check_every = 5.0) ~dir ~self_addr () =
+  { pl_dir = dir; pl_self = self_addr; pl_seed = seed; pl_hot_threshold = hot_threshold;
+    pl_hot_every = hot_check_every; pl_hot_last = Unix.gettimeofday ();
+    pl_reads = Hashtbl.create 16; pl_mig = None }
 
 (** Create a server listening on [port] (0 picks a free port; see {!port})
     with the given cache joins installed. When [config.persist] names a
@@ -309,8 +309,10 @@ let create ?config ?metrics_every ?backend ~port ~joins ~memory_limit () =
     wakeup_r; wakeup_w;
     stepping = false;
     in_engine = false;
-    router = None;
-    dirst = None;
+    (* until [set_directory]: an empty static placement, all local *)
+    pl = placement ~dir:(Result.get_ok (Directory.pin [])) ~self_addr:"" ();
+    shard = None;
+    callers = Hashtbl.create 4;
     nested_step = no_nested;
     persist;
     subs = Hashtbl.create 8;
@@ -339,7 +341,13 @@ let create ?config ?metrics_every ?backend ~port ~joins ~memory_limit () =
     m_session_reads = Obs.counter obs "session.reads";
     m_stale_waits = Obs.counter obs "session.stale_waits";
     m_stale_errors = Obs.counter obs "session.stale_errors";
-    m_stamp_wait = Obs.histogram obs "stamp.wait_ns" }
+    m_stamp_wait = Obs.histogram obs "stamp.wait_ns";
+    m_epoch = Obs.gauge obs "dir.epoch";
+    m_forward_out = Obs.counter obs "shard.forward.out";
+    m_keys = Obs.counter obs "migrate.keys_moved";
+    m_delta = Obs.counter obs "migrate.delta_replayed";
+    m_replica_reads = Obs.counter obs "replica.reads";
+    m_hot = Obs.counter obs "hotspot.detected" }
 
 let engine t = t.engine
 let persist t = t.persist
@@ -376,74 +384,62 @@ let unwatch_fd t fd =
     handed the full missing set plus a completion callback. *)
 let set_fetcher t fetcher = t.fetcher <- Some fetcher
 
-(** Install shard routing (see shard.ml); call once, before serving. *)
-let set_router t ~self ~owner ~route_scan ~call ~post ~siblings ~stats =
+(** Put this server in shard mode (see shard.ml): only connections
+    handed over by the acceptor are routed, [Add_join] fans out to every
+    other home of the placement, and [Stats_full] answers [stats ()].
+    Call once, before serving, after {!set_directory}. *)
+let set_shard t ~stats =
   let obs = Server.obs t.engine in
-  t.router <-
+  t.shard <-
     Some
-      { rt_self = self; rt_owner = owner; rt_route_scan = route_scan;
-        rt_call = call; rt_post = post;
-        rt_siblings = siblings; rt_stats = stats;
-        rm_ops = Obs.counter obs "shard.ops";
-        rm_client_ops = Obs.counter obs "shard.client.ops";
-        rm_forward_out = Obs.counter obs "shard.forward.out";
-        rm_forward_in = Obs.counter obs "shard.forward.in" }
+      { sh_stats = stats;
+        sh_ops = Obs.counter obs "shard.ops";
+        sh_client_ops = Obs.counter obs "shard.client.ops";
+        sh_forward_in = Obs.counter obs "shard.forward.in" }
 
 (* hotspot detection: once per window, compare each owned range's read
    tally against the threshold; a hot range is counted and logged with
    the pequod_ctl command that would replicate it. Replication itself
    stays an operator decision — the directory is shared cluster state. *)
-let hotspot_tick _t ds () =
-  if ds.ds_hot_threshold > 0. then begin
-    let now = Unix.gettimeofday () in
-    let dt = now -. ds.ds_hot_last in
-    if dt >= ds.ds_hot_every then begin
-      ds.ds_hot_last <- now;
-      Hashtbl.iter
-        (fun (table, lo, hi) r ->
-          let rate = float_of_int !r /. dt in
-          if rate >= ds.ds_hot_threshold then begin
-            Obs.Counter.incr ds.ds_m_hot;
-            Log.warn (fun m ->
-                m
-                  "hot range %s[%s,%s): %.0f reads/s (threshold %.0f); consider: \
-                   pequod_ctl replicate %s %s %s %s REPLICA_ADDR"
-                  table lo hi rate ds.ds_hot_threshold
-                  (Option.value ds.ds_seed ~default:ds.ds_self)
-                  table lo hi)
-          end;
-          r := 0)
-        ds.ds_reads
-    end
+let hotspot_tick t () =
+  let pl = t.pl in
+  let now = Unix.gettimeofday () in
+  let dt = now -. pl.pl_hot_last in
+  if dt >= pl.pl_hot_every then begin
+    pl.pl_hot_last <- now;
+    Hashtbl.iter
+      (fun (table, lo, hi) r ->
+        let rate = float_of_int !r /. dt in
+        if rate >= pl.pl_hot_threshold then begin
+          Obs.Counter.incr t.m_hot;
+          Log.warn (fun m ->
+              m
+                "hot range %s[%s,%s): %.0f reads/s (threshold %.0f); consider: \
+                 pequod_ctl replicate %s %s %s %s REPLICA_ADDR"
+                table lo hi rate pl.pl_hot_threshold
+                (Option.value pl.pl_seed ~default:pl.pl_self)
+                table lo hi)
+        end;
+        r := 0)
+      pl.pl_reads
   end
 
-(** Put this server in directory mode: [dir] is its copy of the
-    partition directory (the authoritative one when [seed] is [None] —
-    the [--dir-host] role — a follower copy polled from [seed]
-    otherwise). Enables serving [Dir_get]/[Dir_watch]/[Dir_update],
-    the [Migrate] driver, forwarding of writes whose directory home is
-    another server, and hotspot detection over the per-owned-range read
-    tallies ([hot_threshold] reads/s over [hot_check_every]-second
-    windows; 0 disables). Call once, before serving; pair it with
-    {!Remote.attach_directory} on the same [dir]. *)
-let set_directory t ?seed ?(hot_threshold = 0.) ?(hot_check_every = 5.0) ~dir ~self_addr
-    () =
-  let obs = Server.obs t.engine in
-  let ds =
-    { ds_dir = dir; ds_self = self_addr; ds_seed = seed;
-      ds_hot_threshold = hot_threshold; ds_hot_every = hot_check_every;
-      ds_hot_last = Unix.gettimeofday ();
-      ds_reads = Hashtbl.create 16; ds_mig = None; ds_calls = Hashtbl.create 4;
-      ds_m_epoch = Obs.gauge obs "dir.epoch";
-      ds_m_keys = Obs.counter obs "migrate.keys_moved";
-      ds_m_delta = Obs.counter obs "migrate.delta_replayed";
-      ds_m_redirect = Obs.counter obs "migrate.redirects";
-      ds_m_replica_reads = Obs.counter obs "replica.reads";
-      ds_m_hot = Obs.counter obs "hotspot.detected" }
-  in
-  Obs.Gauge.set ds.ds_m_epoch (Directory.epoch dir);
-  t.dirst <- Some ds;
-  add_ticker t (hotspot_tick t ds)
+(** Install this server's placement: [dir] is a pinned static one
+    ([--partition] specs, shard cuts) or its copy of the partition
+    directory (the authoritative one when [seed] is [None] — the
+    [--dir-host] role — a follower copy polled from [seed] otherwise).
+    Requests then route by it: writes whose home is another server are
+    forwarded, reads go to a replica or the home, scans are served
+    piecewise. A dynamic directory also enables serving
+    [Dir_get]/[Dir_watch]/[Dir_update], the [Migrate] driver, and
+    hotspot detection over the per-owned-range read tallies
+    ([hot_threshold] reads/s over [hot_check_every]-second windows; 0
+    disables). Call once, before serving; pair it with {!Remote.attach}
+    on the same [dir]. *)
+let set_directory t ?seed ?(hot_threshold = 0.) ?hot_check_every ~dir ~self_addr () =
+  t.pl <- placement ?seed ~hot_threshold ?hot_check_every ~dir ~self_addr ();
+  Obs.Gauge.set t.m_epoch (Directory.epoch dir);
+  if hot_threshold > 0. then add_ticker t (hotspot_tick t)
 
 (** One nested event-loop step, for threading as the [on_wait] of
     clients owned by this server's loop: while such a client blocks on a
@@ -579,9 +575,8 @@ let buffer_notify t key value_opt =
   (* a write applied while this server is mid-migration of a range
      containing [key] is part of the handoff delta: the snapshot chunk
      covering it may already have been copied *)
-  (match t.dirst with
-  | Some { ds_mig = Some mg; _ }
-    when String.compare mg.mg_lo key <= 0 && String.compare key mg.mg_hi < 0 ->
+  (match t.pl.pl_mig with
+  | Some mg when String.compare mg.mg_lo key <= 0 && String.compare key mg.mg_hi < 0 ->
     mg.mg_delta <- (key, value_opt) :: mg.mg_delta
   | _ -> ());
   if Hashtbl.length t.subs > 0 then
@@ -654,13 +649,13 @@ let flush_notifications t =
     order
 
 (* ------------------------------------------------------------------ *)
-(* Directory mode: write forwarding, read tallies, migration start     *)
+(* Placement routing: one forward path for every topology              *)
 
-(* call-mode client for a peer named by the directory (a write forward's
-   destination home). [on_wait] nested-steps this server's own loop so
-   two homes forwarding to each other cannot deadlock. *)
-let call_client t ds addr =
-  match Hashtbl.find_opt ds.ds_calls addr with
+(* call-mode client for a peer the placement names (a home, a replica,
+   a sibling shard). [on_wait] nested-steps this server's own loop, so
+   two servers forwarding to each other cannot deadlock. *)
+let caller t addr =
+  match Hashtbl.find_opt t.callers addr with
   | Some c -> c
   | None ->
     let chost, cport = split_addr addr in
@@ -673,119 +668,78 @@ let call_client t ds addr =
         ~on_wait:(fun () -> t.nested_step ())
         ~host:chost ~port:cport ()
     in
-    Hashtbl.add ds.ds_calls addr c;
+    Hashtbl.add t.callers addr c;
     c
 
-(* Where must a client write for [key] be applied? [Some (ds, home)]
-   when the directory names another server: after a migration flips a
-   range away from this server, stale-routed writers keep sending here —
-   forwarding (rather than applying to the no-longer-authoritative local
-   copy) is what keeps the handoff divergence-free. *)
-let forward_home t key =
-  match t.dirst with
-  | None -> None
-  | Some ds ->
-    if Directory.epoch ds.ds_dir = 0 then None (* no directory yet; apply locally *)
-    else (
-      match Directory.home_of ds.ds_dir ~key with
-      | Some h when not (String.equal h ds.ds_self) -> Some (ds, h)
-      | _ -> None)
+(** A blocking call to [addr] over this server's peer-client cache (the
+    loop keeps serving through nested steps meanwhile). Raises
+    {!Net_client.Net_error}. *)
+let call_peer t addr req = Net_client.call (caller t addr) req
 
-(* Split a Put_batch by directory home, preserving per-target order;
-   [None] is the local group. A server with no directory (or no epoch
-   yet) yields one local group, so the static path pays one list cell. *)
-let split_by_home t pairs =
-  match t.dirst with
-  | None -> [ (None, pairs) ]
-  | Some _ ->
-    let groups : (string option, (string * string) list) Hashtbl.t = Hashtbl.create 4 in
-    let order = ref [] in
-    List.iter
-      (fun ((k, _) as p) ->
-        let tgt = Option.map (fun (_, h) -> h) (forward_home t k) in
-        match Hashtbl.find_opt groups tgt with
-        | Some l -> Hashtbl.replace groups tgt (p :: l)
-        | None ->
-          order := tgt :: !order;
-          Hashtbl.add groups tgt [ p ])
-      pairs;
-    List.rev_map (fun tgt -> (tgt, List.rev (Hashtbl.find groups tgt))) !order
-
-let forward_call t ds dest req =
-  Obs.Counter.incr ds.ds_m_redirect;
-  match Net_client.call (call_client t ds dest) req with
+(* forward one request to the peer the placement names; a transport
+   failure answers Error *)
+let forward t addr req =
+  Obs.Counter.incr t.m_forward_out;
+  match call_peer t addr req with
   | resp -> resp
   | exception Net_client.Net_error msg ->
-    Message.Error (Printf.sprintf "home %s: %s" dest msg)
+    Message.Error (Printf.sprintf "home %s: %s" addr msg)
 
-(* Where should a read of [key] be served? [None]: locally — this
-   server is the home, a listed replica (whose copy is kept fresh by its
-   subscription), or the key is outside the directory (join outputs,
-   un-governed tables). Otherwise the ordered candidates to try: the
-   range's replicas, rotated by this server's identity so different
-   forwarders spread over them, with the home always last. *)
-let read_candidates t key =
-  match t.dirst with
-  | None -> None
-  | Some ds ->
-    if Directory.epoch ds.ds_dir = 0 then None
-    else (
-      match Directory.entry_of ds.ds_dir ~key with
-      | None -> None
-      | Some e ->
-        if
-          String.equal e.Message.de_home ds.ds_self
-          || List.mem ds.ds_self e.Message.de_replicas
-        then None
-        else
-          let cands =
-            match e.Message.de_replicas with
-            | [] -> [ e.Message.de_home ]
-            | reps ->
-              let n = List.length reps in
-              let start = Hashtbl.hash ds.ds_self mod n in
-              List.init n (fun i -> List.nth reps ((start + i) mod n))
-              @ [ e.Message.de_home ]
-          in
-          Some (ds, cands))
+(* Where must a write of [key] be applied? [Some home] when the
+   placement names another server: after a migration flips a range away
+   from this server, stale-routed writers keep sending here — forwarding
+   (rather than applying to the no-longer-authoritative local copy) is
+   what keeps the handoff divergence-free. *)
+let write_home t key =
+  match Directory.home_of t.pl.pl_dir ~key with
+  | Some h when not (String.equal h t.pl.pl_self) -> Some h
+  | _ -> None
+
+(* Where should a read of a range governed by [e] be served? [None]:
+   locally — this server is the home, a listed replica (whose copy is
+   kept fresh by its subscription), or nothing governs it (join
+   outputs, local tables). Otherwise the ordered candidates to try. *)
+let read_target t = function
+  | Some e when not (Directory.serves e ~self:t.pl.pl_self) ->
+    Some (Directory.candidates e ~self:t.pl.pl_self)
+  | _ -> None
 
 (* forward a read, falling through the candidate list (a dead or
    refusing replica costs one hop, not the answer). A [Stale] answer —
    a replica whose copy has not caught up to a stamped read's demand —
    also falls through: the home, always last, is authoritative and can
    never be stale. *)
-let read_forward t ds cands req =
+let read_forward t cands req =
   let rec go = function
     | [] -> Message.Error "no reachable server for the range"
-    | [ addr ] -> forward_call t ds addr req
+    | [ addr ] -> forward t addr req
     | addr :: rest -> (
-      match forward_call t ds addr req with
+      match forward t addr req with
       | Message.Error _ | Message.Stale _ -> go rest
       | resp -> resp)
   in
   go cands
 
 (* read tallies for hotspot detection (owned ranges) and the
-   replica.reads counter (ranges this server replicates) *)
-let tally_read t key =
-  match t.dirst with
+   replica.reads counter (ranges this server replicates), by the entry
+   governing the read *)
+let tally_read t entry =
+  let pl = t.pl in
+  match entry with
   | None -> ()
-  | Some ds -> (
-    match Directory.entry_of ds.ds_dir ~key with
-    | None -> ()
-    | Some e ->
-      if String.equal e.Message.de_home ds.ds_self then begin
-        if ds.ds_hot_threshold > 0. then begin
-          let k = (e.Message.de_table, e.Message.de_lo, e.Message.de_hi) in
-          match Hashtbl.find_opt ds.ds_reads k with
-          | Some r -> incr r
-          | None -> Hashtbl.add ds.ds_reads k (ref 1)
-        end
+  | Some e ->
+    if String.equal e.Message.de_home pl.pl_self then begin
+      if pl.pl_hot_threshold > 0. then begin
+        let k = (e.Message.de_table, e.Message.de_lo, e.Message.de_hi) in
+        match Hashtbl.find_opt pl.pl_reads k with
+        | Some r -> incr r
+        | None -> Hashtbl.add pl.pl_reads k (ref 1)
       end
-      else if List.mem ds.ds_self e.Message.de_replicas then
-        Obs.Counter.incr ds.ds_m_replica_reads)
+    end
+    else if List.mem pl.pl_self e.Message.de_replicas then
+      Obs.Counter.incr t.m_replica_reads
 
-(* clamp a stamp demand vector to one scan segment: only the entries
+(* clamp a stamp demand vector to one scan piece: only the entries
    intersecting [lo, hi), each cut down to the intersection *)
 let clamp_min min ~lo ~hi =
   List.filter_map
@@ -799,166 +753,57 @@ let clamp_min min ~lo ~hi =
       else None)
     min
 
-(* A directory-routed scan, served piecewise: segments of [lo, hi)
-   homed (or replicated) here scan the local engine, segments homed
-   elsewhere forward a clamped [Scan] to a replica or the home, gaps the
-   directory does not cover (join outputs, un-governed tables) stay
-   local. Segments come back in key order, so concatenation is the
-   ordered answer.
-
-   [min] is a stamped read's demand vector ([] for plain scans): local
-   segments below a demanded stamp heal synchronously — the stale piece
-   is unmarked, so the resolver refetches it from its owner during the
-   local scan — and remote segments forward a clamped [Scan_at] so each
-   candidate enforces the demand on its own copy (a stale replica
-   answers [Stale] and [read_forward] falls through to the home). *)
 (* Synchronously re-establish a demand: drop the unprovable copies,
-   then touch each dropped range through the engine so a blocking
-   resolver refetches it inline and re-records the owner's stamp. The
-   serving read need not scan the ranges it demands (a timeline read
-   demands its sources), so dropping alone is not enough — derived
-   data computed from the dropped copy stays resident and would be
-   served stale. Returns the ranges still unmet afterwards: non-empty
-   means freshness cannot be proven here (deferred resolver, or the
-   owner is unreachable) and the caller must answer the typed [Stale]
-   rather than serve data the push never refreshed. *)
+   then touch each dropped range through the engine with the blocking
+   resolver, which refetches it inline and re-records the owner's
+   stamp. The serving read need not scan the ranges it demands (a
+   timeline read demands its sources), so dropping alone is not enough
+   — derived data computed from the dropped copy stays resident and
+   would be served stale. Returns the ranges still unmet afterwards:
+   non-empty means freshness cannot be proven here (the owner is
+   unreachable) and the caller must answer the typed [Stale] rather
+   than serve data the push never refreshed. *)
 let heal_demand t unmet min =
   List.iter
     (fun (table, lo, hi, _) -> Server.unmark_present t.engine ~table ~lo ~hi)
     unmet;
   List.iter
     (fun (_, lo, hi, _) ->
-      match Server.scan_result t.engine ~lo ~hi with
+      match Server.scan_result ~may_defer:false t.engine ~lo ~hi with
       | _ -> ()
       | exception _ -> ())
     unmet;
   Server.stamp_unsatisfied t.engine min
 
-let scan_directory t ds ?(min = []) ~lo ~hi () =
-  let still_unmet =
-    match min with
-    | [] -> []
-    | _ -> (
-      match Server.stamp_unsatisfied t.engine min with
-      | [] -> []
-      | unmet ->
-        Obs.Counter.incr t.m_stale_waits;
-        heal_demand t unmet min)
-  in
-  match still_unmet with
-  | _ :: _ as still ->
-    Obs.Counter.incr t.m_stale_errors;
-    Message.Stale still
-  | [] ->
-  let table = Pequod_store.Store.table_name_of lo in
-  let overlapping =
-    List.filter
-      (fun (e : Message.dir_entry) ->
-        String.equal e.de_table table
-        && String.compare e.de_lo hi < 0
-        && String.compare lo e.de_hi < 0)
-      (Directory.entries ds.ds_dir)
-    (* directory entries are kept sorted by (table, lo) *)
-  in
-  let segments = ref [] in
-  let cursor = ref lo in
-  List.iter
-    (fun (e : Message.dir_entry) ->
-      if String.compare !cursor e.de_lo < 0 then begin
-        segments := (None, !cursor, e.de_lo) :: !segments;
-        cursor := e.de_lo
-      end;
-      let shi = if String.compare hi e.de_hi < 0 then hi else e.de_hi in
-      if String.compare !cursor shi < 0 then begin
-        let tgt =
-          match read_candidates t !cursor with
-          | None -> None
-          | Some (_, cands) -> Some cands
-        in
-        segments := (tgt, !cursor, shi) :: !segments;
-        cursor := shi
-      end)
-    overlapping;
-  if String.compare !cursor hi < 0 then segments := (None, !cursor, hi) :: !segments;
-  let segments = List.rev !segments in
-  match segments with
-  | [ (None, _, _) ] | [] -> Message.apply_to_server t.engine (Message.Scan { lo; hi })
-  | segs ->
-    let err = ref None in
-    let stale = ref [] in
-    let fail m = if !err = None then err := Some m in
-    let parts =
-      List.map
-        (fun (tgt, slo, shi) ->
-          match tgt with
-          | None -> (
-            match Server.scan_result t.engine ~lo:slo ~hi:shi with
-            | `Ok pairs -> pairs
-            | `Missing ((mt, mlo, mhi) :: _) ->
-              fail
-                (Printf.sprintf "missing base range %s[%s,%s): owning peer unreachable"
-                   mt mlo mhi);
-              []
-            | `Missing [] -> []
-            | exception e ->
-              fail (Printexc.to_string e);
-              [])
-          | Some cands -> (
-            let seg_req =
-              match clamp_min min ~lo:slo ~hi:shi with
-              | [] -> Message.Scan { lo = slo; hi = shi }
-              | m -> Message.Scan_at { lo = slo; hi = shi; min = m }
-            in
-            match read_forward t ds cands seg_req with
-            | Message.Pairs pairs -> pairs
-            | Message.Stale st ->
-              stale := st @ !stale;
-              []
-            | Message.Error m ->
-              fail m;
-              []
-            | _ ->
-              fail "unexpected scan response";
-              []))
-        segs
-    in
-    (match (!stale, !err) with
-    | _ :: _, _ -> Message.Stale !stale
-    | [], Some m -> Message.Error m
-    | [], None -> Message.Pairs (List.concat parts))
-
 (* start a [Migrate]: validate against the directory, then hand off to
    the per-step pump ([pump_migration]); the requesting connection is
    answered only when the handoff completes (or fails) *)
 let start_migration t client ~table ~lo ~hi ~dest =
-  match t.dirst with
-  | None -> Some (Message.Error "no partition directory on this server")
-  | Some ds ->
-    if ds.ds_mig <> None then Some (Message.Error "a migration is already in progress")
-    else if Directory.epoch ds.ds_dir = 0 then
-      Some (Message.Error "no directory epoch yet; seed the directory first")
-    else if String.equal dest ds.ds_self then
-      Some (Message.Error "destination is this server")
-    else begin
-      (* dry-run the flip now so a doomed migration fails before any
-         data moves: the range must be fully covered, by one home *)
-      match Directory.assign (Directory.entries ds.ds_dir) ~table ~lo ~hi ~home:dest with
-      | Error msg -> Some (Message.Error msg)
-      | Ok _ ->
-        if not (Directory.home_of ds.ds_dir ~key:lo = Some ds.ds_self) then
+  let pl = t.pl in
+  if Directory.pinned pl.pl_dir then Some (Message.Error "no partition directory on this server")
+  else if pl.pl_mig <> None then Some (Message.Error "a migration is already in progress")
+  else if Directory.epoch pl.pl_dir = 0 then
+    Some (Message.Error "no directory epoch yet; seed the directory first")
+  else if String.equal dest pl.pl_self then Some (Message.Error "destination is this server")
+  else begin
+    (* dry-run the flip now so a doomed migration fails before any data
+       moves: the range must be fully covered, by one home *)
+    match Directory.assign (Directory.entries pl.pl_dir) ~table ~lo ~hi ~home:dest with
+    | Error msg -> Some (Message.Error msg)
+    | Ok _ ->
+      if not (Directory.home_of pl.pl_dir ~key:lo = Some pl.pl_self) then
+        Some
+          (Message.Error
+             (Printf.sprintf "this server is not the home of %s[%s,%s)" table lo hi))
+      else begin
+        Log.app (fun m -> m "migrating %s[%s,%s) to %s" table lo hi dest);
+        pl.pl_mig <-
           Some
-            (Message.Error
-               (Printf.sprintf "this server is not the home of %s[%s,%s)" table lo hi))
-        else begin
-          Log.app (fun m -> m "migrating %s[%s,%s) to %s" table lo hi dest);
-          ds.ds_mig <-
-            Some
-              { mg_table = table; mg_lo = lo; mg_hi = hi; mg_dest = dest;
-                mg_cursor = lo; mg_delta = []; mg_keys = 0; mg_deltas = 0;
-                mg_reply = client.fd };
-          None (* deferred: the pump answers on completion *)
-        end
-    end
+            { mg_table = table; mg_lo = lo; mg_hi = hi; mg_dest = dest; mg_cursor = lo;
+              mg_delta = []; mg_keys = 0; mg_deltas = 0; mg_reply = client.fd };
+        None (* deferred: the pump answers on completion *)
+      end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Parked scans: a miss never blocks the loop                          *)
@@ -966,6 +811,13 @@ let start_migration t client ~table ~lo ~hi ~dest =
 (* a parked scan that keeps discovering new ranges (each feed can unlock
    further check-gated value ranges) retries at most this many times *)
 let max_park_retries = 64
+
+(* run [f] flagged as an engine call: steps nested inside it must not
+   service the fetcher's sockets, whose completions re-enter the engine *)
+let engine_call t f =
+  let saved = t.in_engine in
+  t.in_engine <- true;
+  Fun.protect ~finally:(fun () -> t.in_engine <- saved) f
 
 let missing_error = function
   | (table, flo, fhi) :: _ ->
@@ -1067,9 +919,7 @@ let pump_stamp_waits t =
           let serve () =
             (* serving re-enters the engine (and may park on missing
                ranges): flag it like any request handler *)
-            let saved = t.in_engine in
-            t.in_engine <- true;
-            Fun.protect ~finally:(fun () -> t.in_engine <- saved) @@ fun () ->
+            engine_call t @@ fun () ->
             Obs.Histogram.observe t.m_stamp_wait (Obs.now_ns () - w.sw_t0);
             match w.sw_req with
             | Message.Get_at { key; _ } ->
@@ -1151,7 +1001,7 @@ let pump_stamp_waits t =
    on the blocking path — heal synchronously by unmarking the stale
    pieces so the engine's resolver refetches them inline during the
    read. *)
-let serve_stamped t client ~may_park req ~min =
+let serve_stamped t client req ~min =
   let answer () =
     match req with
     | Message.Get_at { key; _ } -> (
@@ -1162,7 +1012,7 @@ let serve_stamped t client ~may_park req ~min =
       match Server.scan_result t.engine ~lo ~hi with
       | `Ok pairs -> Some (Message.Pairs pairs)
       | `Missing ranges ->
-        if t.fetcher <> None && may_park then begin
+        if t.fetcher <> None then begin
           park_scan t client ~lo ~hi ranges;
           None
         end
@@ -1174,7 +1024,7 @@ let serve_stamped t client ~may_park req ~min =
   | [] -> answer ()
   | unmet ->
     Obs.Counter.incr t.m_stale_waits;
-    if t.fetcher <> None && may_park then begin
+    if t.fetcher <> None then begin
       park_stamped t client req ~min;
       None
     end
@@ -1189,44 +1039,29 @@ let serve_stamped t client ~may_park req ~min =
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
 
-(* [None] for one-way requests: they produce no response frame.
-   [may_park] marks call sites whose result is returned to [client]
-   directly (so a scan may defer its response into a slot); composite
-   paths — the shard scatter merge — must get an immediate answer. *)
-let rec handle_local ?(may_park = false) t client req =
-  let saved = t.in_engine in
-  t.in_engine <- true;
-  Fun.protect ~finally:(fun () -> t.in_engine <- saved) @@ fun () ->
-  handle_local_engine ~may_park t client req
-
-and handle_local_engine ~may_park t client req =
+(* Apply one request to this server's own engine, whatever the
+   placement says — routing happened above ([dispatch]). [None] for
+   one-way requests and parked reads: no response frame yet. *)
+let handle_local t client req =
+  engine_call t @@ fun () ->
   match req with
   | Message.Fetch { table; lo; hi; subscriber } -> (
     Obs.Counter.incr t.m_fetch_in;
-    tally_read t lo;
-    match
-      (* directory mode: refuse to grant a subscription on a range the
-         directory homes elsewhere (unless this server replicates it —
-         a replica's copy is subscription-fresh, so middleman serving
-         is sound). A post-migration straggler fetching from the old
-         home gets an error and replans off its refreshed directory,
-         instead of a frozen snapshot. *)
-      match t.dirst with
-      | Some ds when Directory.epoch ds.ds_dir > 0 -> (
-        match Directory.entry_of ds.ds_dir ~key:lo with
-        | Some e
-          when (not (String.equal e.Message.de_home ds.ds_self))
-               && not (List.mem ds.ds_self e.Message.de_replicas) ->
-          Some e.Message.de_home
-        | _ -> None)
-      | _ -> None
-    with
-    | Some home ->
+    let entry = Directory.entry_of t.pl.pl_dir ~key:lo in
+    tally_read t entry;
+    (* refuse to grant a subscription on a range the placement homes
+       elsewhere (unless this server replicates it — a replica's copy
+       is subscription-fresh, so middleman serving is sound). A
+       post-migration straggler fetching from the old home gets an
+       error and replans off its refreshed directory, instead of a
+       frozen snapshot. *)
+    match entry with
+    | Some e when not (Directory.serves e ~self:t.pl.pl_self) ->
       Some
         (Message.Error
            (Printf.sprintf "not the home for %s[%s,%s) (directory names %s)" table lo hi
-              home))
-    | None -> (
+              e.Message.de_home))
+    | _ -> (
     (* refetches of the same range by the same subscriber (eviction
        pressure, subscription healing) are idempotent on the subs
        table: an identical live entry is reused, never duplicated,
@@ -1288,103 +1123,187 @@ and handle_local_engine ~may_park t client req =
     Obs.Counter.incr t.m_notify_in;
     List.iter (fun (k, v) -> buffer_notify t k v) items;
     None
-  | Message.Put (k, v) -> (
-    match forward_home t k with
-    | Some (ds, dest) -> Some (forward_call t ds dest req)
-    | None ->
-      let resp = Message.apply_to_server t.engine req in
-      buffer_notify t k (Some v);
-      Some resp)
-  | Message.Remove k -> (
-    match forward_home t k with
-    | Some (ds, dest) -> Some (forward_call t ds dest req)
-    | None ->
-      let resp = Message.apply_to_server t.engine req in
-      buffer_notify t k None;
-      Some resp)
-  | Message.Put_batch pairs -> (
-    match split_by_home t pairs with
-    | [] | [ (None, _) ] ->
-      let resp = Message.apply_to_server t.engine req in
-      List.iter (fun (k, v) -> buffer_notify t k (Some v)) pairs;
-      Some resp
-    | groups ->
-      let ds = Option.get t.dirst in
-      let err = ref None in
-      let vec = ref [] in
-      List.iter
-        (fun (target, sub) ->
-          match target with
-          | None ->
-            (match Message.apply_to_server t.engine (Message.Put_batch sub) with
-            | Message.Stamps s -> vec := s :: !vec
-            | _ -> ());
-            List.iter (fun (k, v) -> buffer_notify t k (Some v)) sub
-          | Some dest -> (
-            match forward_call t ds dest (Message.Put_batch sub) with
-            | Message.Stamps s -> vec := s :: !vec
-            | Message.Done -> ()
-            | Message.Error m -> if !err = None then err := Some m
-            | _ -> if !err = None then err := Some "unexpected forward response"))
-        groups;
-      Some
-        (match !err with
-        | None -> Message.Stamps (List.concat (List.rev !vec))
-        | Some m -> Message.Error m))
-  | Message.Get k -> (
-    tally_read t k;
-    match read_candidates t k with
-    | Some (ds, cands) -> Some (read_forward t ds cands req)
-    | None -> Some (Message.apply_to_server t.engine req))
-  | Message.Scan { lo; hi } -> (
-    tally_read t lo;
-    match t.dirst with
-    | Some ds when Directory.epoch ds.ds_dir > 0 -> Some (scan_directory t ds ~lo ~hi ())
-    | _ -> (
-      match t.fetcher with
-      | Some _ when may_park -> (
-        match Server.scan_result t.engine ~lo ~hi with
-        | `Ok pairs -> Some (Message.Pairs pairs)
-        | `Missing ranges ->
-          park_scan t client ~lo ~hi ranges;
-          None
-        | exception e -> Some (Message.Error (Printexc.to_string e)))
-      | _ -> Some (Message.apply_to_server t.engine req)))
-  | Message.Get_at { key; min } -> (
+  | Message.Put (k, v) ->
+    let resp = Message.apply_to_server t.engine req in
+    buffer_notify t k (Some v);
+    Some resp
+  | Message.Remove k ->
+    let resp = Message.apply_to_server t.engine req in
+    buffer_notify t k None;
+    Some resp
+  | Message.Put_batch pairs ->
+    let resp = Message.apply_to_server t.engine req in
+    List.iter (fun (k, v) -> buffer_notify t k (Some v)) pairs;
+    Some resp
+  | Message.Scan { lo; hi } when t.fetcher <> None -> (
+    match Server.scan_result t.engine ~lo ~hi with
+    | `Ok pairs -> Some (Message.Pairs pairs)
+    | `Missing ranges ->
+      park_scan t client ~lo ~hi ranges;
+      None
+    | exception e -> Some (Message.Error (Printexc.to_string e)))
+  | Message.Get_at { min; _ } | Message.Scan_at { min; _ } ->
     Obs.Counter.incr t.m_session_reads;
-    tally_read t key;
-    match read_candidates t key with
-    | Some (ds, cands) -> Some (read_forward t ds cands req)
-    | None -> serve_stamped t client ~may_park req ~min)
-  | Message.Scan_at { lo; hi; min } -> (
-    Obs.Counter.incr t.m_session_reads;
-    tally_read t lo;
-    match t.dirst with
-    | Some ds when Directory.epoch ds.ds_dir > 0 -> Some (scan_directory t ds ~min ~lo ~hi ())
-    | _ -> serve_stamped t client ~may_park req ~min)
+    serve_stamped t client req ~min
   | Message.Dir_get | Message.Dir_watch _ | Message.Dir_update _ -> (
-    match t.dirst with
-    | None -> Some (Message.Error "no partition directory on this server")
-    | Some ds -> (
-      let state () =
-        Message.Dir_state
-          { epoch = Directory.epoch ds.ds_dir; entries = Directory.entries ds.ds_dir }
-      in
-      match req with
-      | Message.Dir_get -> Some (state ())
-      | Message.Dir_watch { epoch } ->
-        if Directory.epoch ds.ds_dir > epoch then Some (state ()) else Some Message.Done
-      | Message.Dir_update { epoch; entries } -> (
-        match Directory.install ds.ds_dir ~epoch ~entries with
-        | Ok () ->
-          Obs.Gauge.set ds.ds_m_epoch epoch;
-          Log.info (fun m ->
-              m "directory updated to epoch %d (%d entries)" epoch (List.length entries));
-          Some Message.Done
-        | Error msg -> Some (Message.Error msg))
-      | _ -> assert false))
+    let dir = t.pl.pl_dir in
+    let state () =
+      Message.Dir_state { epoch = Directory.epoch dir; entries = Directory.entries dir }
+    in
+    match req with
+    | _ when Directory.pinned dir ->
+      Some (Message.Error "no partition directory on this server")
+    | Message.Dir_get -> Some (state ())
+    | Message.Dir_watch { epoch } ->
+      if Directory.epoch dir > epoch then Some (state ()) else Some Message.Done
+    | Message.Dir_update { epoch; entries } -> (
+      match Directory.install dir ~epoch ~entries with
+      | Ok () ->
+        Obs.Gauge.set t.m_epoch epoch;
+        Log.info (fun m ->
+            m "directory updated to epoch %d (%d entries)" epoch (List.length entries));
+        Some Message.Done
+      | Error msg -> Some (Message.Error msg))
+    | _ -> assert false)
   | Message.Migrate { table; lo; hi; dest } -> start_migration t client ~table ~lo ~hi ~dest
   | req -> Some (Message.apply_to_server t.engine req)
+
+(* one piece of a composite scan, served here: the blocking resolver
+   fetches inline (a composite answer cannot park) *)
+let local_piece t ~lo ~hi =
+  engine_call t @@ fun () ->
+  match Server.scan_result ~may_defer:false t.engine ~lo ~hi with
+  | `Ok pairs -> Message.Pairs pairs
+  | `Missing ranges -> missing_error ranges
+  | exception e -> Message.Error (Printexc.to_string e)
+
+(* A scan the placement splits. Pieces homed (or replicated) here, and
+   gaps nothing governs, scan the local engine; pieces homed elsewhere
+   forward a clamped [Scan] to a replica or the home; a scatter asks
+   every home for the whole range. Pieces come back in key order, so
+   concatenation is the ordered answer; scatter answers merge, deduped
+   by key, the local answer winning ties.
+
+   [min] is a stamped read's demand vector ([] for plain scans): the
+   local copy heals synchronously first, and remote pieces forward a
+   clamped [Scan_at] so each candidate enforces the demand on its own
+   copy (a stale replica answers [Stale] and [read_forward] falls
+   through to the home). Any [Stale] answer makes the whole scan
+   [Stale]. *)
+let composite_scan t ~lo ~hi ~min route =
+  let still_unmet =
+    match min with
+    | [] -> []
+    | _ -> (
+      Obs.Counter.incr t.m_session_reads;
+      match Server.stamp_unsatisfied t.engine min with
+      | [] -> []
+      | unmet ->
+        Obs.Counter.incr t.m_stale_waits;
+        heal_demand t unmet min)
+  in
+  match still_unmet with
+  | _ :: _ as still ->
+    Obs.Counter.incr t.m_stale_errors;
+    Message.Stale still
+  | [] ->
+    let req ~lo ~hi =
+      match clamp_min min ~lo ~hi with
+      | [] -> Message.Scan { lo; hi }
+      | m -> Message.Scan_at { lo; hi; min = m }
+    in
+    let answers, merge =
+      match route with
+      | `Pieces pieces ->
+        ( List.map
+            (fun (e, plo, phi) ->
+              match read_target t e with
+              | None -> local_piece t ~lo:plo ~hi:phi
+              | Some cands -> read_forward t cands (req ~lo:plo ~hi:phi))
+            pieces,
+          List.concat )
+      | `Scatter homes ->
+        ( local_piece t ~lo ~hi
+          :: List.filter_map
+               (fun h ->
+                 if String.equal h t.pl.pl_self then None
+                 else Some (forward t h (req ~lo ~hi)))
+               homes,
+          List.fold_left Directory.merge_dedup [] )
+    in
+    let stale = List.concat_map (function Message.Stale st -> st | _ -> []) answers in
+    let err =
+      List.find_map
+        (function
+          | Message.Pairs _ | Message.Stale _ -> None
+          | Message.Error m -> Some m
+          | _ -> Some "unexpected scan response")
+        answers
+    in
+    match (stale, err) with
+    | _ :: _, _ -> Message.Stale stale
+    | [], Some m -> Message.Error m
+    | [], None ->
+      Message.Pairs (merge (List.map (function Message.Pairs p -> p | _ -> []) answers))
+
+(* A scan that is one piece — every join-output read, every scan inside
+   one home's range — is the engine's own (parking on a miss) or one
+   forward; anything wider is composite. *)
+let route_scan t client ~lo ~hi ~min req =
+  tally_read t (Directory.entry_of t.pl.pl_dir ~key:lo);
+  match Directory.scan_route t.pl.pl_dir ~lo ~hi with
+  | `Pieces [] -> handle_local t client req
+  | `Pieces [ (e, _, _) ] -> (
+    match read_target t e with
+    | None -> handle_local t client req
+    | Some cands -> Some (read_forward t cands req))
+  | route -> Some (composite_scan t ~lo ~hi ~min route)
+
+(* fold the answers of a split write: the first error wins, else [ok] *)
+let gather_acks answers ~ok =
+  match
+    List.find_map
+      (function
+        | Message.Stamps _ | Message.Done -> None
+        | Message.Error m -> Some m
+        | _ -> Some "unexpected forward response")
+      answers
+  with
+  | Some m -> Message.Error m
+  | None -> ok answers
+
+(* Split a Put_batch by home ([None]: applied here), preserving
+   per-target order; forward each remote group and reassemble one stamp
+   vector for the ack. A batch homed entirely here — every batch a home
+   is sent — costs one ownership check per pair. *)
+let route_put_batch t client pairs =
+  if List.for_all (fun (k, _) -> write_home t k = None) pairs then
+    handle_local t client (Message.Put_batch pairs)
+  else begin
+    let groups : (string option, (string * string) list) Hashtbl.t = Hashtbl.create 4 in
+    let order = ref [] in
+    List.iter
+      (fun ((k, _) as p) ->
+        let tgt = write_home t k in
+        match Hashtbl.find_opt groups tgt with
+        | Some l -> Hashtbl.replace groups tgt (p :: l)
+        | None ->
+          order := tgt :: !order;
+          Hashtbl.add groups tgt [ p ])
+      pairs;
+    let answers =
+      List.rev_map
+        (fun tgt ->
+          let sub = Message.Put_batch (List.rev (Hashtbl.find groups tgt)) in
+          match tgt with
+          | None -> Option.value (handle_local t client sub) ~default:Message.Done
+          | Some h -> forward t h sub)
+        !order
+    in
+    Some
+      (gather_acks answers ~ok:(fun acks ->
+           Message.Stamps (List.concat_map (function Message.Stamps s -> s | _ -> []) acks)))
+  end
 
 (* requests whose kind only reaches a shard's own listener as a sibling
    forward (never as fetch/subscription/heartbeat traffic): the
@@ -1396,272 +1315,52 @@ let forward_kind = function
     true
   | _ -> false
 
-let sibling_error e =
-  match e with
-  | Net_client.Net_error msg -> Message.Error ("sibling shard: " ^ msg)
-  | e -> Message.Error (Printexc.to_string e)
-
-(* merge two key-sorted pair lists, dropping duplicate keys (a fetched
-   copy on one shard duplicates the owner's pair; a join output is
-   computed identically on every shard that materialized it). Left
-   wins on ties, so the serving shard's freshly computed value is kept. *)
-let merge_dedup a b =
-  let rec go acc a b =
-    match (a, b) with
-    | [], l | l, [] -> List.rev_append acc l
-    | ((ka, _) as x) :: a', ((kb, _) as y) :: b' ->
-      let c = String.compare ka kb in
-      if c < 0 then go (x :: acc) a' b
-      else if c > 0 then go (y :: acc) a b'
-      else go (x :: acc) a' b'
-  in
-  go [] a b
-
-(* Split [items] by owning shard, preserving per-owner order; returns the
-   groups in first-appearance order as (owner, items) pairs. *)
-let split_by_owner rt key_of items =
-  let groups : (int, 'a list) Hashtbl.t = Hashtbl.create 4 in
-  let order = ref [] in
-  List.iter
-    (fun item ->
-      let o = rt.rt_owner (key_of item) in
-      match Hashtbl.find_opt groups o with
-      | Some l -> Hashtbl.replace groups o (item :: l)
-      | None ->
-        order := o :: !order;
-        Hashtbl.add groups o [ item ])
-    items;
-  List.rev_map (fun o -> (o, List.rev (Hashtbl.find groups o))) !order
-
-(* route one decoded request: only acceptor-handed connections are
-   routed; everything arriving on this shard's own listener is local *)
+(* route one decoded request by the placement. In shard mode only
+   acceptor-handed connections are routed; everything arriving on the
+   shard's own listener is local *)
 let dispatch t client req =
-  match t.router with
-  | None -> handle_local ~may_park:true t client req
-  | Some rt ->
-    Obs.Counter.incr rt.rm_ops;
-    if not client.injected then begin
-      if forward_kind req then Obs.Counter.incr rt.rm_forward_in;
-      (* a sibling forward is answered on this connection in pipeline
-         order like any direct client, so its scans may park too *)
-      handle_local ~may_park:true t client req
-    end
-    else begin
-      Obs.Counter.incr rt.rm_client_ops;
-      match req with
-      | Message.Get k | Message.Put (k, _) | Message.Remove k
-      | Message.Get_at { key = k; _ } ->
-        let o = rt.rt_owner k in
-        if o = rt.rt_self then handle_local t client req
-        else begin
-          Obs.Counter.incr rt.rm_forward_out;
-          match rt.rt_call o req with
-          | resp -> Some resp
-          | exception e -> Some (sibling_error e)
-        end
-      | Message.Notify_put (k, _) | Message.Notify_remove k ->
-        let o = rt.rt_owner k in
-        if o = rt.rt_self then handle_local t client req
-        else begin
-          (try rt.rt_post o req
-           with Net_client.Net_error msg ->
-             Log.warn (fun m -> m "notify forward to shard %d failed: %s" o msg));
-          None
-        end
-      | Message.Put_batch pairs ->
-        let err = ref None in
-        let vec = ref [] in
-        List.iter
-          (fun (o, sub) ->
-            if o = rt.rt_self then (
-              match handle_local t client (Message.Put_batch sub) with
-              | Some (Message.Stamps s) -> vec := s :: !vec
-              | _ -> ())
-            else begin
-              Obs.Counter.incr rt.rm_forward_out;
-              match rt.rt_call o (Message.Put_batch sub) with
-              | Message.Stamps s -> vec := s :: !vec
-              | Message.Done -> ()
-              | Message.Error m -> if !err = None then err := Some m
-              | _ -> if !err = None then err := Some "unexpected forward response"
-              | exception e -> (
-                if !err = None then
-                  match sibling_error e with
-                  | Message.Error m -> err := Some m
-                  | _ -> ())
-            end)
-          (split_by_owner rt fst pairs);
+  let routed =
+    match t.shard with
+    | None -> true
+    | Some sh ->
+      Obs.Counter.incr sh.sh_ops;
+      if client.injected then Obs.Counter.incr sh.sh_client_ops
+      else if forward_kind req then Obs.Counter.incr sh.sh_forward_in;
+      client.injected
+  in
+  if not routed then handle_local t client req
+  else
+    match (req, t.shard) with
+    | (Message.Put (k, _) | Message.Remove k), _ -> (
+      match write_home t k with
+      | Some h -> Some (forward t h req)
+      | None -> handle_local t client req)
+    | (Message.Get k | Message.Get_at { key = k; _ }), _ -> (
+      let entry = Directory.entry_of t.pl.pl_dir ~key:k in
+      tally_read t entry;
+      match read_target t entry with
+      | Some cands -> Some (read_forward t cands req)
+      | None -> handle_local t client req)
+    | Message.Put_batch pairs, _ -> route_put_batch t client pairs
+    | Message.Scan { lo; hi }, _ -> route_scan t client ~lo ~hi ~min:[] req
+    | Message.Scan_at { lo; hi; min }, _ -> route_scan t client ~lo ~hi ~min req
+    | Message.Add_join _, Some _ -> (
+      (* install on every shard: each materializes the join for the
+         timeline slices its clients scan *)
+      match handle_local t client req with
+      | Some Message.Done ->
         Some
-          (match !err with
-          | None -> Message.Stamps (List.concat (List.rev !vec))
-          | Some m -> Message.Error m)
-      | Message.Notify_batch { items; stamps } ->
-        (* items and stamp-trailer entries both split by owning shard;
-           a trailer entry with no items for its owner still travels
-           (as an item-less batch) so the promise is never dropped *)
-        let stamps_for o = List.filter (fun (_, slo, _, _) -> rt.rt_owner slo = o) stamps in
-        let groups = split_by_owner rt fst items in
-        let covered = List.map fst groups in
-        let extra =
-          List.sort_uniq compare
-            (List.filter_map
-               (fun (_, slo, _, _) ->
-                 let o = rt.rt_owner slo in
-                 if List.mem o covered then None else Some o)
-               stamps)
-        in
-        let send o sub =
-          let msg = Message.Notify_batch { items = sub; stamps = stamps_for o } in
-          if o = rt.rt_self then ignore (handle_local t client msg)
-          else
-            try rt.rt_post o msg
-            with Net_client.Net_error msg ->
-              Log.warn (fun m -> m "notify forward to shard %d failed: %s" o msg)
-        in
-        List.iter (fun (o, sub) -> send o sub) groups;
-        List.iter (fun o -> send o []) extra;
-        None
-      | Message.Add_join _ -> (
-        (* install on every shard: each materializes the join for the
-           timeline slices its clients scan *)
-        match handle_local t client req with
-        | Some Message.Done ->
-          let err = ref None in
-          List.iter
-            (fun o ->
-              Obs.Counter.incr rt.rm_forward_out;
-              match rt.rt_call o req with
-              | Message.Done -> ()
-              | Message.Error m -> if !err = None then err := Some m
-              | _ -> if !err = None then err := Some "unexpected forward response"
-              | exception e -> (
-                if !err = None then
-                  match sibling_error e with
-                  | Message.Error m -> err := Some m
-                  | _ -> ()))
-            rt.rt_siblings;
-          Some (match !err with None -> Message.Done | Some m -> Message.Error m)
-        | other -> other)
-      | Message.Stats_full -> (
-        match rt.rt_stats () with
-        | metrics -> Some (Message.Metrics metrics)
-        | exception e -> Some (sibling_error e))
-      | Message.Scan { lo; hi } -> (
-        (* a range confined to one shard's slice is served entirely by
-           its owner: the join outputs it covers are computed there from
-           source slices that resolve through the engine's resolver
-           (fetch+subscribe), so the data arrives — and stays fresh —
-           over the same §2.4 path a compute server uses. A range that
-           spans slices (or tables) is scattered: every shard reports
-           the keys it holds — its owned slice of every table plus any
-           fetched copies and computed outputs — and the union, deduped
-           by key, is the full answer *)
-        match rt.rt_route_scan ~lo ~hi with
-        | Some o ->
-          if o = rt.rt_self then handle_local ~may_park:true t client req
-          else begin
-            Obs.Counter.incr rt.rm_forward_out;
-            match rt.rt_call o req with
-            | resp -> Some resp
-            | exception e -> Some (sibling_error e)
-          end
-        | None -> (
-          match handle_local t client req with
-          | Some (Message.Pairs local) ->
-            let err = ref None in
-            let remote =
-              List.map
-                (fun o ->
-                  Obs.Counter.incr rt.rm_forward_out;
-                  match rt.rt_call o req with
-                  | Message.Pairs ps -> ps
-                  | Message.Error m ->
-                    if !err = None then err := Some m;
-                    []
-                  | _ ->
-                    if !err = None then err := Some "unexpected scan response";
-                    []
-                  | exception e ->
-                    (if !err = None then
-                       match sibling_error e with
-                       | Message.Error m -> err := Some m
-                       | _ -> ());
-                    [])
-                rt.rt_siblings
-            in
-            (match !err with
-            | Some m -> Some (Message.Error m)
-            | None -> Some (Message.Pairs (List.fold_left merge_dedup local remote)))
-          | other -> other))
-      | Message.Scan_at { lo; hi; min } -> (
-        (* routed like [Scan]; each shard enforces the demand on its own
-           slice. The scatter's local leg heals synchronously (the merge
-           needs an immediate answer) and siblings answering [Stale]
-           make the whole scan [Stale]. *)
-        match rt.rt_route_scan ~lo ~hi with
-        | Some o ->
-          if o = rt.rt_self then handle_local ~may_park:true t client req
-          else begin
-            Obs.Counter.incr rt.rm_forward_out;
-            match rt.rt_call o req with
-            | resp -> Some resp
-            | exception e -> Some (sibling_error e)
-          end
-        | None -> (
-          let still_unmet =
-            match Server.stamp_unsatisfied t.engine min with
-            | [] -> []
-            | unmet ->
-              Obs.Counter.incr t.m_stale_waits;
-              heal_demand t unmet min
-          in
-          match still_unmet with
-          | _ :: _ as still ->
-            Obs.Counter.incr t.m_stale_errors;
-            Some (Message.Stale still)
-          | [] -> (
-          match handle_local t client (Message.Scan { lo; hi }) with
-          | Some (Message.Pairs local) ->
-            let err = ref None in
-            let stale = ref [] in
-            let remote =
-              List.map
-                (fun o ->
-                  Obs.Counter.incr rt.rm_forward_out;
-                  match rt.rt_call o req with
-                  | Message.Pairs ps -> ps
-                  | Message.Stale st ->
-                    stale := st @ !stale;
-                    []
-                  | Message.Error m ->
-                    if !err = None then err := Some m;
-                    []
-                  | _ ->
-                    if !err = None then err := Some "unexpected scan response";
-                    []
-                  | exception e ->
-                    (if !err = None then
-                       match sibling_error e with
-                       | Message.Error m -> err := Some m
-                       | _ -> ());
-                    [])
-                rt.rt_siblings
-            in
-            (match (!stale, !err) with
-            | _ :: _, _ -> Some (Message.Stale !stale)
-            | [], Some m -> Some (Message.Error m)
-            | [], None -> Some (Message.Pairs (List.fold_left merge_dedup local remote)))
-          | other -> other)))
-      | Message.Hello _ | Message.Fetch _ | Message.Sub_check _ ->
-        (* fetches and subscription checks are the intra-cluster
-           protocol itself: always against this shard's own slice *)
-        handle_local t client req
-      | Message.Dir_get | Message.Dir_watch _ | Message.Dir_update _
-      | Message.Migrate _ ->
-        (* the partition directory is a whole-process concern (and is
-           not enabled in sharded mode anyway) *)
-        handle_local t client req
-    end
+          (gather_acks ~ok:(fun _ -> Message.Done)
+             (List.filter_map
+                (fun h ->
+                  if String.equal h t.pl.pl_self then None else Some (forward t h req))
+                (Directory.homes t.pl.pl_dir)))
+      | other -> other)
+    | Message.Stats_full, Some sh -> (
+      match sh.sh_stats () with
+      | metrics -> Some (Message.Metrics metrics)
+      | exception e -> Some (Message.Error (Printexc.to_string e)))
+    | _ -> handle_local t client req
 
 (* one frame, decoded straight out of the receive buffer (no copy) *)
 let handle_frame t client buf ~off ~len =
@@ -1840,8 +1539,8 @@ let mig_feed c items =
   in
   chunks items
 
-let finish_migration t ds mg resp =
-  ds.ds_mig <- None;
+let finish_migration t mg resp =
+  t.pl.pl_mig <- None;
   (match resp with
   | Message.Error msg ->
     Log.err (fun m ->
@@ -1861,7 +1560,8 @@ let finish_migration t ds mg resp =
 
 (* the copy is done: atomically replay the delta, flip the directory
    epoch, hand over subscribers, and release local ownership *)
-let complete_migration t ds mg =
+let complete_migration t mg =
+  let pl = t.pl in
   let { mg_table = table; mg_lo = lo; mg_hi = hi; mg_dest = dest; _ } = mg in
   let destc = mig_client t dest in
   Fun.protect ~finally:(fun () -> Net_client.close destc) @@ fun () ->
@@ -1875,7 +1575,7 @@ let complete_migration t ds mg =
       mg.mg_delta <- [];
       let items = List.rev d in
       mg.mg_deltas <- mg.mg_deltas + List.length items;
-      Obs.Counter.add ds.ds_m_delta (List.length items);
+      Obs.Counter.add t.m_delta (List.length items);
       mig_feed destc items;
       drain ()
   in
@@ -1917,12 +1617,12 @@ let complete_migration t ds mg =
     | Error msg -> raise (Mig_fail msg)
   in
   let epoch', entries' =
-    match ds.ds_seed with
+    match pl.pl_seed with
     | None ->
-      let entries' = assign_or_fail (Directory.entries ds.ds_dir) in
-      let epoch' = Directory.epoch ds.ds_dir + 1 in
-      (match Directory.install ds.ds_dir ~epoch:epoch' ~entries:entries' with
-      | Ok () -> Obs.Gauge.set ds.ds_m_epoch epoch'
+      let entries' = assign_or_fail (Directory.entries pl.pl_dir) in
+      let epoch' = Directory.epoch pl.pl_dir + 1 in
+      (match Directory.install pl.pl_dir ~epoch:epoch' ~entries:entries' with
+      | Ok () -> Obs.Gauge.set t.m_epoch epoch'
       | Error msg -> raise (Mig_fail msg));
       (epoch', entries')
     | Some seed ->
@@ -1944,8 +1644,8 @@ let complete_migration t ds mg =
       | exception Net_client.Net_error msg -> raise (Mig_fail ("seed: " ^ msg)));
       (* flip our own follower copy in the same breath: the very next
          write to the moved range must forward, not apply locally *)
-      (match Directory.install ds.ds_dir ~epoch:epoch' ~entries:entries' with
-      | Ok () -> Obs.Gauge.set ds.ds_m_epoch epoch'
+      (match Directory.install pl.pl_dir ~epoch:epoch' ~entries:entries' with
+      | Ok () -> Obs.Gauge.set t.m_epoch epoch'
       | Error _ -> ());
       (epoch', entries')
   in
@@ -1987,7 +1687,7 @@ let complete_migration t ds mg =
   (* 5. this server no longer owns the range; its own resolver (on the
      flipped routes) now fetches it from the new home on demand *)
   Server.unmark_present t.engine ~table ~lo ~hi;
-  finish_migration t ds mg
+  finish_migration t mg
     (Message.Pairs
        [ ("keys_moved", string_of_int mg.mg_keys);
          ("delta_replayed", string_of_int mg.mg_deltas);
@@ -2000,35 +1700,32 @@ let mig_chunks_per_step = 64
    posted to the destination, then a barrier call (which nested-steps
    this loop, so clients keep getting served while the copy cruises) *)
 let pump_migration t =
-  match t.dirst with
+  match t.pl.pl_mig with
   | None -> ()
-  | Some ds -> (
-    match ds.ds_mig with
-    | None -> ()
-    | Some mg -> (
-      try
-        let destc = call_client t ds mg.mg_dest in
-        let copied_all = ref false in
-        let budget = ref mig_chunks_per_step in
-        while (not !copied_all) && !budget > 0 do
-          decr budget;
-          match
-            Server.scan_result ~limit:mig_chunk t.engine ~lo:mg.mg_cursor ~hi:mg.mg_hi
-          with
-          | `Missing _ -> raise (Mig_fail "this server does not hold the range")
-          | `Ok pairs ->
-            let n = List.length pairs in
-            if n > 0 then begin
-              mig_feed destc (List.map (fun (k, v) -> (k, Some v)) pairs);
-              mg.mg_keys <- mg.mg_keys + n;
-              Obs.Counter.add ds.ds_m_keys n
-            end;
-            if n = mig_chunk then mg.mg_cursor <- fst (List.nth pairs (n - 1)) ^ "\x00"
-            else copied_all := true
-        done;
-        mig_barrier destc;
-        if !copied_all then complete_migration t ds mg
-      with Mig_fail msg -> finish_migration t ds mg (Message.Error msg)))
+  | Some mg -> (
+    try
+      let destc = caller t mg.mg_dest in
+      let copied_all = ref false in
+      let budget = ref mig_chunks_per_step in
+      while (not !copied_all) && !budget > 0 do
+        decr budget;
+        match
+          Server.scan_result ~limit:mig_chunk t.engine ~lo:mg.mg_cursor ~hi:mg.mg_hi
+        with
+        | `Missing _ -> raise (Mig_fail "this server does not hold the range")
+        | `Ok pairs ->
+          let n = List.length pairs in
+          if n > 0 then begin
+            mig_feed destc (List.map (fun (k, v) -> (k, Some v)) pairs);
+            mg.mg_keys <- mg.mg_keys + n;
+            Obs.Counter.add t.m_keys n
+          end;
+          if n = mig_chunk then mg.mg_cursor <- fst (List.nth pairs (n - 1)) ^ "\x00"
+          else copied_all := true
+      done;
+      mig_barrier destc;
+      if !copied_all then complete_migration t mg
+    with Mig_fail msg -> finish_migration t mg (Message.Error msg))
 
 (* ------------------------------------------------------------------ *)
 (* The loop                                                            *)
@@ -2064,13 +1761,13 @@ let maybe_dump_metrics t =
     only advances sibling/peer traffic. *)
 let rec step ?(timeout = 1.0) t =
   if t.nested_step == no_nested then
-    t.nested_step <- (fun () -> step ~timeout:0.005 t);
+    t.nested_step <- (fun () -> step ~timeout:0.0 t);
   let nested = t.stepping in
   t.stepping <- true;
   Fun.protect ~finally:(fun () -> t.stepping <- nested) @@ fun () ->
   let timeout =
     (* a live migration wants the pump back promptly, idle or not *)
-    match t.dirst with Some { ds_mig = Some _; _ } -> 0.0 | _ -> timeout
+    match t.pl.pl_mig with Some _ -> 0.0 | None -> timeout
   in
   let timeout =
     (* so do parked stamped reads: their refetch/deadline clocks tick
@@ -2142,6 +1839,8 @@ let stop t =
   Hashtbl.reset t.externals;
   Hashtbl.iter (fun _ c -> Net_client.close c) t.peers;
   Hashtbl.reset t.peers;
+  Hashtbl.iter (fun _ c -> Net_client.close c) t.callers;
+  Hashtbl.reset t.callers;
   Option.iter Persist.close t.persist;
   Poller.close t.poller;
   (try Unix.close t.wakeup_r with Unix.Unix_error _ -> ());

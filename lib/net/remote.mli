@@ -1,168 +1,106 @@
 (** Live distributed deployment (§2.4/§3.3): wires a {!Net_client} into
-    a cache engine as its missing-range resolver.
+    a cache engine as its missing-range resolver, planned against the
+    server's placement ({!Directory.t}).
 
-    A server started with [--partition] routes learns which peer is the
-    {e home} for each base-table range. Ranges routed to this process are
-    marked present (home ownership). Ranges routed to a peer are fetched
-    on first need: the resolver sends [Fetch] naming this server's own
-    address as the subscriber, the home replies [Subscribed] with a
-    snapshot and starts pushing [Notify_batch] frames for every later
-    write in the range — the protocol the simulator models, between live
-    processes.
+    Every topology routes by one placement: static [--partition] specs
+    and shard cuts are a directory pinned at epoch 1, a directory-routed
+    cluster a live one. Ranges homed at this process are marked present
+    (home ownership). Ranges homed elsewhere are fetched on first need:
+    the resolver sends [Fetch] naming this server's own address as the
+    subscriber, to a replica of the range or its home, and the server
+    answers [Subscribed] with a snapshot and starts pushing
+    [Notify_batch] frames for every later write in the range — the
+    protocol the simulator models, between live processes. Join outputs
+    are never fetched: every server computes them from its
+    subscription-fresh sources.
 
-    A fetch that fails (peer down, after the client's bounded retries)
-    resolves as [Deferred]: the scan reports the range as missing and the
-    server answers that client with an [Error] instead of crashing; the
-    next scan retries, so a respawned peer heals the route.
+    A fetch that fails on every candidate (peers down, after the
+    client's bounded retries) resolves as [Deferred]: the scan reports
+    the range as missing and the server answers that client with an
+    [Error] instead of crashing; the next scan retries, so a respawned
+    peer heals the route.
 
     Subscriptions self-heal: the tick returned by {!attach} periodically
-    sends [Sub_check] to every home this server fetched from and compares
+    sends [Sub_check] to every server this one fetched from and compares
     the answer against the subscriptions it believes it holds. A range
-    the home dropped (a failed push, a home restart) is refetched —
-    [feed_base] reconciles the data and the [Fetch] re-subscribes — or,
-    if the home is unreachable, un-marked present so the next scan goes
-    back through the resolver. Losses are counted in [peer.sub.lost]. *)
+    the server dropped (a failed push, a restart) is refetched —
+    [feed_base] reconciles the data and re-fires the updaters, and the
+    [Fetch] re-subscribes — or, if the owner is unreachable, un-marked
+    present so the next scan goes back through the resolver. Losses are
+    counted in [peer.sub.lost]. *)
 
-(** One partition route. [r_addr = None] means this process is the home
-    (the range is marked present); [Some "host:port"] names the owning
-    peer.
-
-    A {e wildcard} route has [r_table = "*"] and covers the same slice
-    of every table not named by a specific route: its bounds are in
-    component space — the part of the key after ["T|"] — with
-    [r_lo = ""] meaning each table's start and [r_hi = ""] its end. The
-    shard layer partitions the whole keyspace with one cut vector this
-    way. Specific routes always win: a table any specific route names is
-    governed only by specific routes. *)
-type route = {
-  r_table : string;
-  r_lo : string;
-  r_hi : string;
-  r_addr : string option;
-}
-
-(** Parse [--partition] specs, [TABLE\[:LO:HI\]\[@HOST:PORT\]], against
-    the [--peer] list: an explicit [@HOST:PORT] wins; a bare spec is
-    owned by the single [--peer] when exactly one is given, is local
-    when none is, and is an error (ambiguous) with several. A bare
-    [TABLE] covers the whole table. *)
-val routes_of_specs :
-  peers:string list -> string list -> (route list, string) result
-
-(** How a missing [\[lo, hi)] of [table] maps onto the routes.
-    [`Unrouted]: no route mentions the table — it is purely local.
-    [`Gap]: routes mention the table but leave part of the range
+(** How a missing [\[lo, hi)] of [table] maps onto the placement, seen
+    from [self].
+    [`Unrouted]: no entry governs the table — it is purely local.
+    [`Gap]: entries govern the table but leave part of the range
     uncovered — a partition misconfiguration, surfaced as [Deferred]
     rather than silently served as present-and-empty.
-    [`Fetch clamps]: the per-route clamps to fetch (remotely-owned
-    overlapping routes only — an empty list means every overlapping
-    route is local, so the range resolves [Local]). Wildcard routes are
-    instantiated against [table] first. Exposed for tests. *)
+    [`Fetch clamps]: the per-entry clamps homed elsewhere (an empty
+    list means every overlapping entry is homed at [self], so the range
+    resolves [Local]). Wildcard entries come instantiated against
+    [table]. Exposed for tests. *)
 val plan :
-  routes:route list -> table:string -> lo:string -> hi:string ->
-  [ `Unrouted | `Gap | `Fetch of (route * string * string) list ]
-
-(** Directory entries seen from [self_addr]: entries homed here become
-    local routes, everything else names the home. *)
-val routes_of_entries :
-  self_addr:string -> Pequod_proto.Message.dir_entry list -> route list
+  Directory.t -> self:string -> table:string -> lo:string -> hi:string ->
+  [ `Unrouted | `Gap | `Fetch of (Directory.entry * string * string) list ]
 
 (** The single configuration surface for wiring an engine into the
-    cluster. One record names everything the old
-    [attach]/[attach_directory]/[set_fetcher] sprawl took as scattered
-    optional arguments; {!attach} is the one entry point. *)
+    cluster; {!attach} is the one entry point. *)
 module Config : sig
-  (** Where routes come from: a static [--partition] route list, or a
-      live partition directory (a {!Directory.t} shared with
-      {!Net_server.set_directory}) re-planned on every epoch change.
-      [seed = None] means this server {e is} the seed; [poll_every] is
-      the follower's seed-poll period in seconds. *)
-  type routing =
-    | Static of route list
-    | Directory of { dir : Directory.t; seed : string option; poll_every : float }
-
   type t = {
     engine : Pequod_core.Server.t;
     self_addr : string;  (** this server's advertised host:port *)
-    routing : routing;
+    dir : Directory.t;
+        (** the placement, shared with {!Net_server.set_directory}:
+            pinned, or a live directory re-planned on every epoch
+            change *)
+    seed : string option;
+        (** a live directory's seed to poll; [None]: this server is
+            the seed, or the placement is pinned *)
+    poll_every : float;  (** the follower's seed-poll period, seconds *)
     server : Net_server.t option;
         (** the {!Net_server.t} serving [engine]: turns on the
             asynchronous read path (parked scans, batched single-flight
-            fetches). [None]: the blocking resolver. Static routing
-            only. *)
+            fetches). [None]: the blocking resolver only. *)
     check_every : float;  (** [Sub_check] healing period, seconds *)
-    client_config : Net_client.config option;
-        (** per-peer retry/timeout override *)
     on_wait : (unit -> unit) option;
-        (** threaded into every peer client (see {!Net_client.create})
-            so the owning loop keeps serving while a fetch blocks *)
-    local_tables : string -> bool;
-        (** tables the resolver treats as always-local regardless of
-            routes (the shard layer's join outputs) *)
+        (** threaded into every blocking peer client (see
+            {!Net_client.create}) so the owning loop keeps serving while
+            a fetch blocks *)
   }
 
-  (** Build a config; defaults: [check_every = 2.0], no client-config
-      override, no [on_wait], no always-local tables, blocking
-      resolver. *)
+  (** Build a config; defaults: [check_every = 2.0], [poll_every =
+      1.0], no seed, no [on_wait], blocking resolver. *)
   val make :
     ?check_every:float ->
-    ?client_config:Net_client.config ->
+    ?poll_every:float ->
+    ?seed:string ->
     ?on_wait:(unit -> unit) ->
-    ?local_tables:(string -> bool) ->
     ?server:Net_server.t ->
-    engine:Pequod_core.Server.t -> self_addr:string -> routing -> t
-
-  (** [directory ?poll_every ?seed dir] — shorthand for the
-      {!Directory} routing case ([poll_every] defaults to 1s). *)
-  val directory : ?poll_every:float -> ?seed:string -> Directory.t -> routing
+    engine:Pequod_core.Server.t -> self_addr:string -> Directory.t -> t
 end
 
-(** Install the configured routing on the engine and return the
+(** Install the configured placement on the engine and return the
     maintenance tick — run it from the serving event loop
     ({!Net_server.add_ticker}). Call once, before serving.
 
-    With {!Config.Static} routes: local routes are marked present;
-    remote routes install a resolver that fetches from the owning peers
-    and subscribes as [self_addr], and the tick heals subscriptions
-    (one [Sub_check] round per [check_every] seconds, counted in
-    [peer.sub.lost]). With [server] set, scans that miss park instead
-    of blocking: the fetch engine issues a parked scan's whole missing
-    set as one pipelined burst per owning peer, single-flighted across
-    waiters ([fetch.coalesced], [fetch.inflight],
-    [resolver.fetch.wait_ns]).
+    A pinned placement that homes nothing elsewhere only marks its
+    ranges present: no resolver, no fetcher, and a no-op tick.
+    Otherwise a resolver fetches from the owning peers (replicas first,
+    the home last) and subscribes as [self_addr], and the tick heals
+    subscriptions (one [Sub_check] round per [check_every] seconds). With
+    [server] set, scans that miss park instead of blocking: the fetch
+    engine issues a parked scan's whole missing set as one pipelined
+    burst per peer, single-flighted across waiters ([fetch.coalesced],
+    [fetch.inflight], [resolver.fetch.wait_ns]).
 
-    With {!Config.Directory}: routes come from the directory and
-    re-plan on every epoch change — newly owned ranges are marked
-    present, formerly owned ones un-marked, orphaned subscriptions
-    dropped, replica duty fetch+subscribed eagerly — and the tick also
-    polls the seed ([dir.fetch], [dir.epoch]).
+    A live directory re-plans on every epoch change — newly owned
+    ranges are marked present, formerly owned ones un-marked, orphaned
+    subscriptions dropped, replica duty fetch+subscribed eagerly — and
+    with [seed] the tick also polls the seed ([dir.fetch],
+    [dir.epoch]).
 
     Every [Subscribed] snapshot's version stamp is recorded against the
     fed range ({!Pequod_core.Server.set_range_stamp}), so stamped
     session reads (docs/SESSIONS.md) can tell a fresh copy from a stale
     one — on replicas exactly as on computes. *)
 val attach : Config.t -> unit -> unit
-
-(** Deprecated pre-{!Config} entry point (static routes); use
-    {!Config.make} + {!attach}. *)
-val attach_routes :
-  ?check_every:float ->
-  ?client_config:Net_client.config ->
-  ?on_wait:(unit -> unit) ->
-  ?local_tables:(string -> bool) ->
-  ?server:Net_server.t ->
-  engine:Pequod_core.Server.t -> self_addr:string -> routes:route list -> unit ->
-  unit -> unit
-  [@@deprecated "use Remote.Config.make + Remote.attach"]
-
-(** Deprecated pre-{!Config} entry point (directory routing); use
-    {!Config.make} + {!attach}. *)
-val attach_directory :
-  ?check_every:float ->
-  ?poll_every:float ->
-  ?client_config:Net_client.config ->
-  ?on_wait:(unit -> unit) ->
-  ?seed:string ->
-  engine:Pequod_core.Server.t -> self_addr:string -> dir:Directory.t -> unit ->
-  unit -> unit
-  [@@deprecated "use Remote.Config.make + Remote.attach"]

@@ -32,8 +32,8 @@ module Server = Pequod_core.Server
 module Config = Pequod_core.Config
 module Persist = Pequod_persist.Persist
 module Oracle = Pequod_oracle.Oracle
-module Shard = Pequod_server_lib.Shard
-module Net_server = Pequod_server_lib.Net_server
+module Directory = Pequod_server_lib.Directory
+module Remote = Pequod_server_lib.Remote
 
 (* ------------------------------------------------------------------ *)
 (* Seed derivation                                                     *)
@@ -407,7 +407,7 @@ type variant = {
   va_shards : int;
       (** 0 = off; k >= 2 models the shard-per-core server: k engines,
           each owning a component-space slice of every base table (the
-          same cut semantics as [Shard.owner_of_cuts]), writes routed to
+          shard layer's wildcard placement), writes routed to
           the owner and forwarded to subscribed siblings, sink tables
           computed by whichever engine serves the scan from fetched,
           subscription-fresh source slices *)
@@ -583,19 +583,23 @@ let run_case scenario variant ops =
      recursion (sibling scans are always slice-clamped, so they resolve
      Local on the sibling). Every resolved range is a subscription:
      writes land on the owner and are forwarded to subscribed siblings,
-     modelling the Notify push. Uses the real [Shard.owner_of_cuts] and
-     [Shard.route_scan] so the fuzzer exercises the shipped routing. *)
+     modelling the Notify push. The placement is the shipped one
+     ([Directory.of_cuts], homes named by engine index), and owners,
+     fetch clamps and scan routes come from the shipped [Directory] and
+     [Remote.plan], so the fuzzer exercises the real routing. *)
   let shards_arr =
     if variant.va_shards < 2 then None
     else begin
       (* component-space cuts sized to the generators' vocabulary:
          users ann..dee, digit-led timestamps, voters x/y/z *)
-      let cuts =
-        match variant.va_shards with 2 -> [| "c" |] | _ -> [| "b"; "d" |]
-      in
-      Some (Array.init variant.va_shards (fun _ -> Server.create ~config ()), cuts)
+      let cuts = match variant.va_shards with 2 -> [ "c" ] | _ -> [ "b"; "d" ] in
+      let homes = List.init variant.va_shards string_of_int in
+      Some
+        ( Array.init variant.va_shards (fun _ -> Server.create ~config ()),
+          Result.get_ok (Directory.of_cuts ~cuts ~homes) )
     end
   in
+  let owner dir k = int_of_string (Option.get (Directory.home_of dir ~key:k)) in
   let shard_subs =
     match shards_arr with
     | None -> [||]
@@ -608,12 +612,7 @@ let run_case scenario variant ops =
   in
   (match shards_arr with
   | None -> ()
-  | Some (arr, cuts) ->
-    let n = Array.length arr in
-    let slice_lo j table = if j = 0 then table ^ "|" else table ^ "|" ^ cuts.(j - 1) in
-    let slice_hi j table = if j = n - 1 then table ^ "}" else table ^ "|" ^ cuts.(j) in
-    let smax a b = if String.compare a b >= 0 then a else b in
-    let smin a b = if String.compare a b <= 0 then a else b in
+  | Some (arr, dir) ->
     Array.iteri
       (fun k _ ->
         Server.set_resolver arr.(k) (fun ~table ~lo ~hi ->
@@ -622,26 +621,17 @@ let run_case scenario variant ops =
                 (fun sp -> Pequod_pattern.Joinspec.output_table sp = table)
                 (Server.joins arr.(k))
             in
-            if sink then Server.Local
-            else if
-              String.compare (slice_lo k table) lo <= 0
-              && String.compare hi (slice_hi k table) <= 0
-            then Server.Local
-            else begin
+            match Remote.plan dir ~self:(string_of_int k) ~table ~lo ~hi with
+            | `Fetch (_ :: _ as clamps) when not sink ->
               shard_subs.(k) := (lo, hi) :: !(shard_subs.(k));
               (* [Resolved] pairs are applied additively over the range,
                  so the engine's own slice survives the feed *)
-              let pairs = ref [] in
-              for j = n - 1 downto 0 do
-                if j <> k then begin
-                  let clo = smax lo (slice_lo j table)
-                  and chi = smin hi (slice_hi j table) in
-                  if String.compare clo chi < 0 then
-                    pairs := Server.scan arr.(j) ~lo:clo ~hi:chi @ !pairs
-                end
-              done;
-              Server.Resolved !pairs
-            end))
+              Server.Resolved
+                (List.concat_map
+                   (fun ((e : Directory.entry), clo, chi) ->
+                     Server.scan arr.(int_of_string e.de_home) ~lo:clo ~hi:chi)
+                   clamps)
+            | _ -> Server.Local))
       arr);
   let install_join text =
     let on_engine srv =
@@ -848,7 +838,7 @@ let run_case scenario variant ops =
       | fwd -> Queue.add (List.map fst fwd, List.concat_map snd fwd) push_q)
   in
   (* a fetched copy records the owner's stamp over the fetched range,
-     like [Remote.fetch_one] (the replica-warming fix); and because the
+     like the net layer's fetch (the replica-warming fix); and because the
      home's connection is FIFO, a fetch response is ordered after every
      notify already emitted — so the queued push drains first *)
   let session_feed table mlo mhi =
@@ -891,23 +881,34 @@ let run_case scenario variant ops =
   let scan_rr = ref 0 in
   let engine_scan lo hi =
     match shards_arr with
-    | Some (arr, cuts) -> (
+    | Some (arr, dir) -> (
       let n = Array.length arr in
-      (* mirror the net layer's dispatch: a single-slice range is served
-         entirely by its owner; anything wider is scattered — a rotating
-         shard serves first (so successive reads exercise different
-         fetch/subscription states), merged with every sibling's slice
-         through the shipped dedup *)
-      match Shard.route_scan cuts ~shards:n ~lo ~hi with
-      | Some o -> Server.scan arr.(o) ~lo ~hi
-      | None ->
-        let s = !scan_rr mod n in
+      (* mirror the net layer's dispatch: each piece of the range is
+         served by the shard owning its slice; a range spanning tables
+         is scattered — a rotating shard serves first (so successive
+         reads exercise different fetch/subscription states), merged
+         with every sibling's answer through the shipped dedup *)
+      let serving () =
         incr scan_rr;
+        !scan_rr mod n
+      in
+      match Directory.scan_route dir ~lo ~hi with
+      | `Pieces pieces ->
+        List.concat_map
+          (fun (e, plo, phi) ->
+            let j =
+              match e with
+              | Some (e : Directory.entry) -> int_of_string e.de_home
+              | None -> serving ()
+            in
+            Server.scan arr.(j) ~lo:plo ~hi:phi)
+          pieces
+      | `Scatter _ ->
+        let s = serving () in
         let rec gather acc j =
           if j >= n then acc
           else if j = s then gather acc (j + 1)
-          else
-            gather (Net_server.merge_dedup acc (Server.scan arr.(j) ~lo ~hi)) (j + 1)
+          else gather (Directory.merge_dedup acc (Server.scan arr.(j) ~lo ~hi)) (j + 1)
         in
         gather (Server.scan arr.(s) ~lo ~hi) 0)
     | None -> (
@@ -994,8 +995,8 @@ let run_case scenario variant ops =
     | Put (k, v) -> (
       guard_sink k;
       (match shards_arr with
-      | Some (arr, cuts) ->
-        let o = Shard.owner_of_cuts cuts k in
+      | Some (arr, dir) ->
+        let o = owner dir k in
         Server.put arr.(o) k v;
         Array.iteri
           (fun j eng -> if j <> o && shard_subscribed j k then Server.put eng k v)
@@ -1011,14 +1012,14 @@ let run_case scenario variant ops =
     | Put_batch pairs ->
       List.iter (fun (k, _) -> guard_sink k) pairs;
       (match shards_arr with
-      | Some (arr, cuts) ->
+      | Some (arr, dir) ->
         (* split like the net layer's dispatch: each shard sees, in
            argument order, the pairs it owns plus those it subscribes to *)
         Array.iteri
           (fun j eng ->
             match
               List.filter
-                (fun (k, _) -> Shard.owner_of_cuts cuts k = j || shard_subscribed j k)
+                (fun (k, _) -> owner dir k = j || shard_subscribed j k)
                 pairs
             with
             | [] -> ()
@@ -1043,8 +1044,8 @@ let run_case scenario variant ops =
     | Remove k -> (
       guard_sink k;
       (match shards_arr with
-      | Some (arr, cuts) ->
-        let o = Shard.owner_of_cuts cuts k in
+      | Some (arr, dir) ->
+        let o = owner dir k in
         Server.remove arr.(o) k;
         Array.iteri
           (fun j eng -> if j <> o && shard_subscribed j k then Server.remove eng k)

@@ -5,6 +5,7 @@
 
 module Net_server = Pequod_server_lib.Net_server
 module Remote = Pequod_server_lib.Remote
+module Directory = Pequod_server_lib.Directory
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
 module Frame = Pequod_proto.Frame
@@ -67,14 +68,26 @@ let settle servers =
 
 let counter t name = Server.counter (Net_server.engine t) name
 
+(* placement entries from --partition specs, as seen by [self] *)
+let spec_entries ~peers ~self specs =
+  match Directory.of_specs ~peers ~self specs with
+  | Ok entries -> entries
+  | Error e -> Alcotest.fail e
+
+(* a static placement: the specs pinned at epoch 1 *)
+let pinned ~peers ~self specs = Result.get_ok (Directory.pin (spec_entries ~peers ~self specs))
+
 (* N pipelined scans of the same cold timeline must cost exactly one
    wire Fetch per distinct missing source range: the first parked scan
    issues each fetch, the other N-1 join the in-flight entry
    ([fetch.coalesced]), and every response is identical. The timeline
    join misses in two waves -- the check source (s|) first, then, once
    its feed names the poster, the copy source (p|) -- so each of the
-   two ranges is single-flighted across all N waiters. *)
-let test_single_flight () =
+   two ranges is single-flighted across all N waiters. The same holds
+   for a directory-routed compute — every topology takes the parked
+   path — whose entries list a dead read replica first: each fetch
+   falls through it to the home, still one wire fetch per range. *)
+let test_single_flight ~directory () =
   with_server ~joins:[] @@ fun home ->
   with_server ~joins:[ timeline_join ] @@ fun compute ->
   let h = Net_server.engine home in
@@ -82,15 +95,26 @@ let test_single_flight () =
   Server.mark_present h ~table:"p" ~lo:"p|" ~hi:"p}";
   Server.put h "s|ann|bob" "1";
   Server.put h "p|bob|0000000007" "hello";
-  let routes =
-    match Remote.routes_of_specs ~peers:[ addr_of home ] [ "s"; "p" ] with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
+  let self_addr = addr_of compute in
+  let dir =
+    if not directory then pinned ~peers:[ addr_of home ] ~self:self_addr [ "s"; "p" ]
+    else begin
+      let dir = Directory.create () in
+      let entries =
+        List.map
+          (fun (e : Message.dir_entry) -> { e with de_replicas = [ "127.0.0.1:9" ] })
+          (spec_entries ~peers:[ addr_of home ] ~self:self_addr [ "s"; "p" ])
+      in
+      (match Directory.install dir ~epoch:1 ~entries with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      Net_server.set_directory compute ~dir ~self_addr ();
+      dir
+    end
   in
   let _heal =
     Remote.attach
-      (Remote.Config.make ~server:compute ~engine:(Net_server.engine compute)
-         ~self_addr:(addr_of compute) (Remote.Config.Static routes))
+      (Remote.Config.make ~server:compute ~engine:(Net_server.engine compute) ~self_addr dir)
   in
   let fd = connect compute in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
@@ -120,18 +144,11 @@ let test_single_flight () =
 let test_park_failure () =
   with_server ~joins:[ timeline_join ] @@ fun compute ->
   (* port 9 on loopback: nothing listens; connect is refused at once *)
-  let routes =
-    match
-      Remote.routes_of_specs ~peers:[]
-        [ "s@127.0.0.1:9"; "p@127.0.0.1:9" ]
-    with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
+  let dir = pinned ~peers:[] ~self:(addr_of compute) [ "s@127.0.0.1:9"; "p@127.0.0.1:9" ] in
   let _heal =
     Remote.attach
       (Remote.Config.make ~server:compute ~engine:(Net_server.engine compute)
-         ~self_addr:(addr_of compute) (Remote.Config.Static routes))
+         ~self_addr:(addr_of compute) dir)
   in
   let fd = connect compute in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
@@ -173,23 +190,18 @@ let run_transcript ~async seed =
   let h = Net_server.engine home in
   Server.mark_present h ~table:"s" ~lo:"s|" ~hi:"s}";
   Server.mark_present h ~table:"p" ~lo:"p|" ~hi:"p}";
-  let routes =
-    match Remote.routes_of_specs ~peers:[ addr_of home ] [ "s"; "p" ] with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
+  let dir = pinned ~peers:[ addr_of home ] ~self:(addr_of compute) [ "s"; "p" ] in
   let servers = [ compute; home ] in
   let on_wait () = Net_server.step ~timeout:0.001 home in
   let _heal =
     if async then
       Remote.attach
         (Remote.Config.make ~server:compute ~on_wait
-           ~engine:(Net_server.engine compute) ~self_addr:(addr_of compute)
-           (Remote.Config.Static routes))
+           ~engine:(Net_server.engine compute) ~self_addr:(addr_of compute) dir)
     else
       Remote.attach
         (Remote.Config.make ~on_wait ~engine:(Net_server.engine compute)
-           ~self_addr:(addr_of compute) (Remote.Config.Static routes))
+           ~self_addr:(addr_of compute) dir)
   in
   let hfd = connect home in
   let cfd = connect compute in
@@ -255,7 +267,10 @@ let () =
     [
       ( "async-read-path",
         [
-          Alcotest.test_case "single-flight coalescing" `Quick test_single_flight;
+          Alcotest.test_case "single-flight coalescing" `Quick
+            (test_single_flight ~directory:false);
+          Alcotest.test_case "single-flight directory-routed" `Quick
+            (test_single_flight ~directory:true);
           Alcotest.test_case "parked failure keeps order" `Quick test_park_failure;
           Alcotest.test_case "sync == async transcripts" `Quick test_equivalence;
         ] );

@@ -4,6 +4,7 @@
 module Net_server = Pequod_server_lib.Net_server
 module Net_client = Pequod_server_lib.Net_client
 module Remote = Pequod_server_lib.Remote
+module Directory = Pequod_server_lib.Directory
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
 module Frame = Pequod_proto.Frame
@@ -281,34 +282,89 @@ let test_fetch_dedup () =
           | Message.Sub_ranges [] -> ()
           | _ -> Alcotest.fail "anonymous fetch must not subscribe"))
 
-(* Route-coverage planning: unrouted tables stay local, partial route
-   coverage is a surfaced gap (never silently present-and-empty), and
-   fetch clamps carry only the remotely-owned intersections. *)
+(* Placement planning: ungoverned tables stay local, partial coverage
+   is a surfaced gap (never silently present-and-empty), and fetch
+   clamps carry only the intersections homed elsewhere. Wildcard (shard
+   slice) entries govern every table no specific entry names, with
+   their component-space bounds instantiated into key space. *)
 let test_remote_plan () =
-  let route table lo hi addr = { Remote.r_table = table; r_lo = lo; r_hi = hi; r_addr = addr } in
-  let split =
-    [ route "p" "p|" "p|m" (Some "h1:1"); route "p" "p|m" "p}" (Some "h2:1") ]
+  let route table lo hi home =
+    { Message.de_table = table; de_lo = lo; de_hi = hi; de_home = home; de_replicas = [] }
   in
-  (match Remote.plan ~routes:split ~table:"q" ~lo:"q|" ~hi:"q}" with
+  let self = "me:1" in
+  let plan routes =
+    match Directory.pin routes with
+    | Ok dir -> Remote.plan dir ~self
+    | Error e -> Alcotest.fail e
+  in
+  let split = [ route "p" "p|" "p|m" "h1:1"; route "p" "p|m" "p}" "h2:1" ] in
+  (match plan split ~table:"q" ~lo:"q|" ~hi:"q}" with
   | `Unrouted -> ()
   | _ -> Alcotest.fail "unrouted table");
-  (match Remote.plan ~routes:split ~table:"p" ~lo:"p|a" ~hi:"p|z" with
+  (match plan split ~table:"p" ~lo:"p|a" ~hi:"p|z" with
   | `Fetch [ (r1, "p|a", "p|m"); (r2, "p|m", "p|z") ]
-    when r1.Remote.r_addr = Some "h1:1" && r2.Remote.r_addr = Some "h2:1" ->
+    when r1.Message.de_home = "h1:1" && r2.Message.de_home = "h2:1" ->
     ()
   | _ -> Alcotest.fail "split fetch clamps");
-  let gappy = [ route "p" "p|" "p|m" (Some "h1:1"); route "p" "p|n" "p}" (Some "h2:1") ] in
-  (match Remote.plan ~routes:gappy ~table:"p" ~lo:"p|a" ~hi:"p|z" with
+  let gappy = [ route "p" "p|" "p|m" "h1:1"; route "p" "p|n" "p}" "h2:1" ] in
+  (match plan gappy ~table:"p" ~lo:"p|a" ~hi:"p|z" with
   | `Gap -> ()
   | _ -> Alcotest.fail "uncovered middle must be a gap");
-  (match Remote.plan ~routes:gappy ~table:"p" ~lo:"p|a" ~hi:"p|b" with
+  (match plan gappy ~table:"p" ~lo:"p|a" ~hi:"p|b" with
   | `Fetch [ (_, "p|a", "p|b") ] -> ()
   | _ -> Alcotest.fail "fully covered prefix");
-  (* a locally-owned route covers its part but yields no clamp *)
-  let mixed = [ route "p" "p|" "p|m" None; route "p" "p|m" "p}" (Some "h2:1") ] in
-  match Remote.plan ~routes:mixed ~table:"p" ~lo:"p|a" ~hi:"p|z" with
-  | `Fetch [ (r, "p|m", "p|z") ] when r.Remote.r_addr = Some "h2:1" -> ()
-  | _ -> Alcotest.fail "local coverage must not be fetched"
+  (* a locally-homed route covers its part but yields no clamp *)
+  let mixed = [ route "p" "p|" "p|m" self; route "p" "p|m" "p}" "h2:1" ] in
+  (match plan mixed ~table:"p" ~lo:"p|a" ~hi:"p|z" with
+  | `Fetch [ (r, "p|m", "p|z") ] when r.Message.de_home = "h2:1" -> ()
+  | _ -> Alcotest.fail "local coverage must not be fetched");
+  (* wildcard slices: this server owns [, m) of every table *)
+  let shards = [ route "*" "" "m" self; route "*" "m" "" "h2:1" ] in
+  (match plan shards ~table:"q" ~lo:"q|a" ~hi:"q|z" with
+  | `Fetch [ (r, "q|m", "q|z") ] when r.Message.de_home = "h2:1" -> ()
+  | _ -> Alcotest.fail "wildcard slice clamps");
+  (match plan shards ~table:"q" ~lo:"q|a" ~hi:"q|b" with
+  | `Fetch [] -> ()
+  | _ -> Alcotest.fail "own wildcard slice must not be fetched");
+  (match plan shards ~table:"q" ~lo:"q|" ~hi:"q}" with
+  | `Fetch [ (r, "q|m", "q}") ] when r.Message.de_home = "h2:1" -> ()
+  | _ -> Alcotest.fail "whole table under wildcards");
+  (* a table named by a specific entry is governed only by it *)
+  match plan (shards @ [ route "p" "p|" "p}" "h1:1" ]) ~table:"p" ~lo:"p|a" ~hi:"p|z" with
+  | `Fetch [ (r, "p|a", "p|z") ] when r.Message.de_home = "h1:1" -> ()
+  | _ -> Alcotest.fail "specific entries win over wildcards"
+
+(* Table "*" names the shard layer's internal wildcard entries: outside
+   input — a --partition spec, a Dir_update — must not smuggle one in
+   (it would govern every table, join outputs included, with a range no
+   key falls in). *)
+let test_wildcard_rejected () =
+  (match Directory.of_specs ~peers:[] ~self:"me:1" [ "*@127.0.0.1:9" ] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "--partition '*@HOST:PORT' must be refused");
+  (match Directory.of_specs ~peers:[] ~self:"me:1" [ "*:a:b" ] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "--partition '*:LO:HI' must be refused");
+  with_server ~joins:[] (fun t ->
+      Net_server.set_directory t ~dir:(Directory.create ()) ~self_addr:"127.0.0.1:1" ();
+      let fd = connect t in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let update table =
+            rpc t fd
+              (Message.Dir_update
+                 { epoch = 1;
+                   entries =
+                     [ { Message.de_table = table; de_lo = "a"; de_hi = "m";
+                         de_home = "127.0.0.1:9"; de_replicas = [] } ] })
+          in
+          (match update "*" with
+          | Message.Error _ -> ()
+          | _ -> Alcotest.fail "Dir_update with table \"*\" must be refused");
+          match rpc t fd Message.Dir_get with
+          | Message.Dir_state { epoch = 0; entries = [] } -> ()
+          | _ -> Alcotest.fail "a refused Dir_update must leave the directory alone"))
 
 let () =
   Alcotest.run "net"
@@ -324,5 +380,9 @@ let () =
           Alcotest.test_case "push-mode client" `Quick test_push_mode_client;
           Alcotest.test_case "fetch dedup" `Quick test_fetch_dedup;
         ] );
-      ("routes", [ Alcotest.test_case "plan coverage" `Quick test_remote_plan ]);
+      ( "routes",
+        [
+          Alcotest.test_case "plan coverage" `Quick test_remote_plan;
+          Alcotest.test_case "wildcard table refused" `Quick test_wildcard_rejected;
+        ] );
     ]

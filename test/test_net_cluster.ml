@@ -407,6 +407,76 @@ let test_migration_crash_safety () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "read of a half-migrated range served silently")
 
+(* Subscription healing in a directory-routed cluster: the compute's
+   p|bob subscription dies with home B's process, while the timeline
+   t|ann computed from it stays materialized. The heal must refetch the
+   lost range (re-firing the updaters), not just forget its presence —
+   the materialized timeline would keep serving the frozen copy and a
+   write to the respawned B would never reach it. *)
+let test_directory_heal () =
+  let pids = ref [] in
+  let clients = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun c -> try Net_client.close c with _ -> ()) !clients;
+      List.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        !pids)
+    (fun () ->
+      let start args =
+        let pid, out = spawn args in
+        pids := pid :: !pids;
+        let port = read_port out in
+        (pid, port)
+      in
+      let client port =
+        let c = Net_client.create ~host:"127.0.0.1" ~port () in
+        clients := c :: !clients;
+        c
+      in
+      (* home B is a plain store; the seed A homes s itself and names B
+         as the home of p; the compute follows A *)
+      let pid_b, port_b = start [ "--port"; "0" ] in
+      let _, port_a =
+        start
+          [ "--port"; "0"; "--dir-host"; "--partition"; "s";
+            "--partition"; Printf.sprintf "p@127.0.0.1:%d" port_b ]
+      in
+      let _, port_c =
+        start
+          [ "--port"; "0"; "--join"; timeline_join;
+            "--directory"; Printf.sprintf "127.0.0.1:%d" port_a ]
+      in
+      let home_a = client port_a in
+      let home_b = client port_b in
+      let compute = client port_c in
+      poll ~timeout:10.0 ~what:"compute to adopt the directory" (fun () ->
+          fst (dir_state compute) = 1);
+
+      put_ok home_a "s|ann|bob" "1";
+      put_ok home_b "p|bob|0000000100" "hi";
+      (match scan_pairs compute "t|ann|" "t|ann}" with
+      | Ok [ ("t|ann|0000000100|bob", "hi") ] -> ()
+      | Ok pairs -> Alcotest.failf "first scan: %d pairs" (List.length pairs)
+      | Error msg -> Alcotest.failf "first scan failed: %s" msg);
+
+      (* the subscription dies with the old process; the respawned home
+         takes a write the compute was never subscribed to *)
+      Unix.kill pid_b Sys.sigkill;
+      ignore (Unix.waitpid [] pid_b);
+      let _, port_b2 = start [ "--port"; string_of_int port_b ] in
+      check_bool "respawned on the same port" true (port_b2 = port_b);
+      (try put_ok home_b "p|bob|0000000400" "anew"
+       with Net_client.Net_error _ -> put_ok home_b "p|bob|0000000400" "anew");
+      poll ~timeout:15.0 ~what:"sub_check healing to refresh the materialized timeline"
+        (fun () ->
+          match scan_pairs compute "t|ann|" "t|ann}" with
+          | Ok pairs -> List.mem_assoc "t|ann|0000000400|bob" pairs
+          | Error _ -> false);
+      check_bool "loss detected and counted" true (counter_of compute "peer.sub.lost" >= 1))
+
 (* ------------------------------------------------------------------ *)
 (* Session consistency (docs/SESSIONS.md): read-your-writes across the
    cluster, asserted without a single poll — the stamped read itself
@@ -682,6 +752,8 @@ let () =
           Alcotest.test_case "migrate then verify" `Quick test_migrate_then_verify;
           Alcotest.test_case "kill -9 source mid-migration" `Quick
             test_migration_crash_safety;
+          Alcotest.test_case "sub_check heals materialized output" `Quick
+            test_directory_heal;
         ] );
       ( "session",
         [
