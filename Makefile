@@ -82,6 +82,8 @@ cluster-smoke:
 	sh tools/check_bench_cluster.sh BENCH_cluster_migrate.json
 	grep -q '"keys_moved"' BENCH_cluster_migrate.json \
 		|| { echo "FAIL: migrate run lacks keys_moved" >&2; exit 1; }
+	grep -Eq '"errors": 0([,}]|$$)' BENCH_cluster_migrate.json \
+		|| { echo "FAIL: reads failed around the migration flip" >&2; exit 1; }
 	rm -f BENCH_cluster_migrate.json
 
 # the repository benchmark (twipbench/README.md, BENCHMARK.json): one

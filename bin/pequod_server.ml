@@ -197,47 +197,17 @@ let sub_check_every =
            the homes a walk of this server's live subscriptions, so large deployments \
            should slow it down.")
 
-(* follower bootstrap: one blocking directory fetch from the seed, with
-   a short retry budget. Failure is not fatal — the server starts at
-   epoch 0 (every range deferred) and the poll tick keeps trying. *)
-let initial_dir_fetch dir seed_addr =
-  let module Net_client = Pequod_server_lib.Net_client in
-  let module Message = Pequod_proto.Message in
-  match String.rindex_opt seed_addr ':' with
-  | None -> Logs.err (fun m -> m "bad --directory address %S" seed_addr)
-  | Some i -> (
-    match
-      int_of_string_opt (String.sub seed_addr (i + 1) (String.length seed_addr - i - 1))
-    with
-    | None -> Logs.err (fun m -> m "bad --directory address %S" seed_addr)
-    | Some cport ->
-      let chost = String.sub seed_addr 0 i in
-      let client =
-        Net_client.create
-          ~config:
-            { Net_client.connect_timeout = 1.0; call_timeout = 3.0; max_retries = 3;
-              backoff = 0.2 }
-          ~host:chost ~port:cport ()
-      in
-      Fun.protect
-        ~finally:(fun () -> Net_client.close client)
-        (fun () ->
-          match Net_client.call client Message.Dir_get with
-          | Message.Dir_state { epoch; entries } -> (
-            if epoch = 0 then
-              Logs.warn (fun m ->
-                  m "directory seed %s has no entries yet (epoch 0)" seed_addr)
-            else
-              match Directory.install dir ~epoch ~entries with
-              | Ok () -> ()
-              | Error msg ->
-                Logs.err (fun m -> m "directory from seed %s rejected: %s" seed_addr msg))
-          | Message.Error msg ->
-            Logs.warn (fun m -> m "directory seed %s refused Dir_get: %s" seed_addr msg)
-          | _ -> Logs.warn (fun m -> m "directory seed %s: unexpected response" seed_addr)
-          | exception Net_client.Net_error msg ->
-            Logs.warn (fun m ->
-                m "directory seed %s unreachable (%s); starting at epoch 0" seed_addr msg)))
+(* follower bootstrap: serve until the loop's first seed poll installs
+   a directory, for up to two seconds. Failure is not fatal — the
+   server starts at epoch 0 (every range deferred) and the poll tick
+   keeps trying. *)
+let await_directory t dir seed_addr =
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while Directory.epoch dir = 0 && Unix.gettimeofday () < deadline do
+    Net_server.step ~timeout:0.05 t
+  done;
+  if Directory.epoch dir = 0 then
+    Logs.warn (fun m -> m "no directory from seed %s yet; starting at epoch 0" seed_addr)
 
 let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_max_bytes
     metrics_dump verbose peers partitions advertise sub_check_every shards shard_cuts
@@ -323,13 +293,11 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
         Net_server.stop t;
         1
       | Ok dir ->
-        Option.iter (initial_dir_fetch dir) directory;
         Net_server.set_directory t ?seed:directory ~hot_threshold ~dir ~self_addr ();
-        Net_server.add_ticker t
-          (Remote.attach
-             (Remote.Config.make ~check_every:sub_check_every ~poll_every:dir_poll_every
-                ?seed:directory ~on_wait:(Net_server.on_wait t) ~server:t
-                ~engine:(Net_server.engine t) ~self_addr dir));
+        Remote.attach
+          (Remote.Config.make ~check_every:sub_check_every ~poll_every:dir_poll_every
+             ?seed:directory ~server:t ~engine:(Net_server.engine t) ~self_addr dir);
+        Option.iter (await_directory t dir) directory;
         Logs.app (fun m ->
             m "pequod-server listening on port %d with %d joins, %s (epoch %d)%s"
               (Net_server.port t)

@@ -251,8 +251,9 @@ let obs t = t.obs
 
 (* True while a collect-mode scan is running: a resolver that fetches
    asynchronously answers [Deferred] here (the miss set comes back via
-   [`Missing]) but must fall back to a blocking fetch outside it (updater
-   firings have no retry loop above them). *)
+   [`Missing]); outside it a resolver may fetch inline, or defer too —
+   an updater that meets the deferral logs its change for the next
+   read. *)
 let collecting t = t.deferred_acc <> None
 let counter t name = Obs.counter_value t.obs name
 let set_resolver t r = t.resolver <- Some r
@@ -434,10 +435,18 @@ and run_context t up cx key ~old_value ~new_value ~change =
   | None -> ()
   | Some b -> (
     match up.up_kind with
-    | `Eager ->
-      if up.up_source = Joinspec.value_source_index up.up_join.spec then
-        eager_value_apply t up cx b ~old_value ~new_value ~change
-      else eager_check_apply t up cx b ~change
+    | `Eager -> (
+      let value_source = up.up_source = Joinspec.value_source_index up.up_join.spec in
+      try
+        if value_source then eager_value_apply t up cx b ~old_value ~new_value ~change
+        else eager_check_apply t up cx b ~change
+      with Need_fetch _ ->
+        (* the reaction needs a source range the resolver defers (an
+           asynchronous host fetches it for a read that can park; a
+           write has none above it): log the change against the output
+           region instead, as a lazy check would. The next read replays
+           it in collect mode, reports the missing range and parks. *)
+        invalidate_apply ~whole:value_source t up cx b key ~change)
     | `Invalidate -> invalidate_apply t up cx b key ~change)
 
 (* Eager reaction on the value source: copy or adjust an aggregate. *)
@@ -483,9 +492,10 @@ and eager_check_apply t up cx b ~change =
 
 (* Lazy reaction on a check source: log a partial invalidation against the
    affected output subrange, escalating to complete invalidation when the
-   log grows too long (§3.2). *)
-and invalidate_apply t up cx b key ~change =
-  if change <> Update then begin
+   log grows too long (§3.2). [~whole] invalidates the subrange outright
+   (a value-source change, which the log cannot replay). *)
+and invalidate_apply ?(whole = false) t up cx b key ~change =
+  if change <> Update || whole then begin
     let join = up.up_join in
     let out = Joinspec.output join.spec in
     let clo, chi = Pattern.containing_range out ~bindings:b ~residual:cx.cx_residual in
@@ -504,6 +514,7 @@ and invalidate_apply t up cx b key ~change =
           | None -> None (* unknown: nothing materialized to invalidate *)
           | Some st ->
             (match st.state with
+            | _ when whole -> st.state <- Invalid
             | Valid _ -> st.state <- Pending [ entry ]
             | Pending log when List.length log >= limit -> st.state <- Invalid
             | Pending log -> st.state <- Pending (entry :: log)
@@ -583,6 +594,7 @@ and recompute_aggregate t join cx b okey =
   let out_slots = Pattern.slots (Joinspec.output join.spec) in
   let b = Array.mapi (fun i v -> if List.mem i out_slots then v else None) b in
   let slo, shi = Pattern.containing_range vs.Joinspec.pattern ~bindings:b ~residual:None in
+  resolve_missing t (Pattern.table vs.Joinspec.pattern) ~lo:slo ~hi:shi;
   let values =
     Store.fold_range t.store ~lo:slo ~hi:shi ~init:[] (fun acc k cell ->
         match Pattern.match_key vs.Joinspec.pattern k ~bindings:b with
@@ -770,6 +782,10 @@ and ensure_source_ready t ~active table ~lo ~hi =
       t.joins
   in
   if feeds then validate_range t ~active ~lo ~hi;
+  resolve_missing t table ~lo ~hi
+
+(* Ask the resolver for every absent piece of base range [lo, hi). *)
+and resolve_missing t table ~lo ~hi =
   match t.resolver with
   | None -> ()
   | Some resolve ->

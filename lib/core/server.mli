@@ -108,11 +108,14 @@ type scan_result =
 val scan_result :
   ?limit:int -> ?may_defer:bool -> t -> lo:string -> hi:string -> scan_result
 
-(** True while a collect-mode {!scan_result} is running. An
-    asynchronous resolver consults this to pick its answer: [Deferred]
-    inside a collect-mode scan (the host fetches the [`Missing] set as
-    one burst and retries), a blocking inline fetch everywhere else —
-    updater firings and {!scan}/{!get} have no retry loop above them. *)
+(** True while a collect-mode {!scan_result} is running. A resolver
+    may consult this to pick its answer: [Deferred] inside a
+    collect-mode scan (the host fetches the [`Missing] set as one burst
+    and retries), an inline fetch elsewhere. A resolver that defers
+    everywhere is sound too: an eager updater (an eager-check insert,
+    an aggregate recompute) that meets a deferred source logs its change
+    against the output region instead, and the next collect-mode read
+    reports the range; {!scan}/{!get} fail on it. *)
 val collecting : t -> bool
 
 (** Thin convenience wrapper over {!scan_result} for callers that know

@@ -1,8 +1,8 @@
-(* Typed TCP client for the Pequod wire protocol: lazy connect +
-   Hello/Welcome handshake, bounded reconnect retries with exponential
-   backoff, per-request response deadlines, and request pipelining.
-   Shared by pequod_cli and the server-to-server layer (Remote, the
-   home-server notify push). *)
+(* Typed blocking TCP client for the Pequod wire protocol: lazy connect
+   + Hello/Welcome handshake, bounded reconnect retries with exponential
+   backoff, per-request response deadlines, and request pipelining. For
+   tools and tests; servers talk to each other through their loop's own
+   transport (peers.ml) instead. *)
 
 module Message = Pequod_proto.Message
 module Frame = Pequod_proto.Frame
@@ -37,20 +37,6 @@ type t = {
   chost : string;
   cport : int;
   config : config;
-  (* [false] = push mode: the [Hello] is pipelined and the [Welcome] is
-     never awaited, so establishing the connection cannot block on the
-     peer's event loop (a home server pushing to a subscriber that is
-     itself blocked in a synchronous [Fetch] back to this process must
-     not deadlock). Push-mode clients are {!post}-only. *)
-  handshake : bool;
-  (* run between short waiting slices while blocked on a response: a
-     shard parks here to serve its own event loop (nested step), which is
-     what keeps symmetric shard-to-shard calls deadlock-free *)
-  on_wait : (unit -> unit) option;
-  (* a response wait is on the stack: re-entrant calls (the [on_wait]
-     serving path needing the same peer) take a one-shot connection
-     instead of interleaving frames on this one *)
-  mutable in_flight : bool;
   mutable conn : conn option;
   buf : Bytes.t;
   m_rpcs : Obs.Counter.t; (* net.client.rpcs *)
@@ -58,15 +44,12 @@ type t = {
   m_timeouts : Obs.Counter.t; (* net.client.timeouts *)
 }
 
-let create ?obs ?(config = default_config) ?(handshake = true) ?on_wait ~host ~port () =
+let create ?obs ?(config = default_config) ~host ~port () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   {
     chost = host;
     cport = port;
     config;
-    handshake;
-    on_wait;
-    in_flight = false;
     conn = None;
     buf = Bytes.create 65_536;
     m_rpcs = Obs.counter obs "net.client.rpcs";
@@ -78,9 +61,8 @@ let host t = t.chost
 let port t = t.cport
 let connected t = t.conn <> None
 
-(* the exact bytes [call]/[pipeline] put on the wire for one request;
-   the asynchronous fetcher (Remote.Fetcher) builds its own pipelined
-   bursts from these on sockets it drives itself *)
+(* the exact bytes [call]/[pipeline] put on the wire for one request,
+   for callers that drive their own sockets *)
 let encode_request_frame req = Frame.encode (Message.encode_request req)
 
 let close t =
@@ -133,32 +115,18 @@ let write_all fd s =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-(* next response frame, waiting until [deadline]. With [on_wait], the
-   wait is chopped into short slices and the hook runs between them, so
-   the caller's own event loop keeps turning while this call blocks. The
-   hook is only safe between reads: by then every received byte has been
-   copied into the decoder, so re-entrant work may reuse [t.buf]. *)
+(* next response frame, waiting until [deadline] *)
 let read_frame t conn ~deadline =
   let rec go () =
     match conn.inbox with
     | f :: rest ->
       conn.inbox <- rest;
       f
-    | [] ->
+    | [] -> (
       let remaining = deadline -. Unix.gettimeofday () in
       if remaining <= 0.0 then raise Timeout;
-      let slice =
-        match t.on_wait with
-        | None -> remaining
-        | Some _ -> Float.min remaining 0.002
-      in
-      (match Unix.select [ conn.fd ] [] [] slice with
-      | [], _, _ ->
-        if t.on_wait = None then raise Timeout
-        else begin
-          (Option.get t.on_wait) ();
-          go ()
-        end
+      match Unix.select [ conn.fd ] [] [] remaining with
+      | [], _, _ -> raise Timeout
       | _ -> (
         match Unix.read conn.fd t.buf 0 (Bytes.length t.buf) with
         | 0 -> raise (Net_error "connection closed by server")
@@ -186,43 +154,9 @@ let handshake t conn =
   | _ -> raise (Handshake_failed "unexpected handshake response")
   | exception Message.Protocol_error msg -> raise (Handshake_failed msg)
 
-(* push mode: the server's answer to our pipelined [Hello] (and nothing
-   else — push connections carry only one-way requests) arrives whenever
-   its loop gets to it. Consume whatever is already buffered without ever
-   blocking; a rejection or version mismatch surfaces on the next post. *)
-let drain_push t conn =
-  let rec pump () =
-    match Unix.select [ conn.fd ] [] [] 0.0 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.read conn.fd t.buf 0 (Bytes.length t.buf) with
-      | 0 -> raise (Net_error "connection closed by server")
-      | n ->
-        conn.inbox <- conn.inbox @ Frame.feed conn.decoder (Bytes.sub_string t.buf 0 n);
-        pump ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ())
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  in
-  pump ();
-  let frames = conn.inbox in
-  conn.inbox <- [];
-  List.iter
-    (fun f ->
-      match Message.decode_response f with
-      | Message.Welcome { version } when version = Message.protocol_version -> ()
-      | Message.Welcome { version } ->
-        raise
-          (Net_error
-             (Printf.sprintf "server speaks protocol v%d, this client v%d" version
-                Message.protocol_version))
-      | Message.Error msg -> raise (Net_error ("push handshake rejected: " ^ msg))
-      | _ -> ())
-    frames
-
 (* the connection, establishing (and handshaking) it if needed, with
    bounded backed-off retries. Version mismatches are permanent: they
-   surface immediately, without burning retries on a hopeless peer. In
-   push mode the [Hello] is written but its answer is not awaited. *)
+   surface immediately, without burning retries on a hopeless peer. *)
 let ensure_conn t =
   match t.conn with
   | Some c -> c
@@ -230,13 +164,7 @@ let ensure_conn t =
     let rec attempt n =
       match
         let c = connect_once t in
-        (try
-           if t.handshake then handshake t c
-           else
-             write_all c.fd
-               (Frame.encode
-                  (Message.encode_request
-                     (Message.Hello { version = Message.protocol_version })))
+        (try handshake t c
          with e ->
            (try Unix.close c.fd with Unix.Unix_error _ -> ());
            raise e);
@@ -281,79 +209,33 @@ let broken t e =
   | Net_error msg -> raise (Net_error msg)
   | e -> raise e
 
-(* re-entrant call while the main connection has a response pending: a
-   fresh connection for just this exchange, so the two request/response
-   streams cannot interleave. Failures close only the one-shot socket. *)
-let one_shot_call t ~timeout req =
-  let conn = connect_once t in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close conn.fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
+(* A blocking call inside a server loop step would stall every
+   connection that loop serves: servers reach peers through their own
+   transport instead (peers.ml), so this is always a bug. *)
+let refuse_in_step what =
+  if Peers.in_step () then
+    invalid_arg ("Net_client." ^ what ^ ": blocking call inside a server loop step")
+
+let call ?timeout t req =
+  refuse_in_step "call";
+  if Message.is_oneway req then invalid_arg "Net_client.call: one-way request";
+  let timeout = match timeout with Some s -> s | None -> t.config.call_timeout in
+  Obs.Counter.incr t.m_rpcs;
+  let conn = ensure_conn t in
   match
-    if t.handshake then handshake t conn
-    else
-      write_all conn.fd
-        (Frame.encode
-           (Message.encode_request (Message.Hello { version = Message.protocol_version })));
     write_all conn.fd (Frame.encode (Message.encode_request req));
     let deadline = Unix.gettimeofday () +. timeout in
     Message.decode_response (read_frame t conn ~deadline)
   with
   | resp -> resp
-  | exception Timeout ->
-    Obs.Counter.force_add t.m_timeouts 1;
-    raise (Net_error "request timed out")
-  | exception Handshake_failed msg ->
-    raise (Net_error ("handshake with " ^ t.chost ^ " failed: " ^ msg))
-  | exception Unix.Unix_error (err, _, _) ->
-    raise (Net_error ("i/o error: " ^ Unix.error_message err))
-  | exception Message.Protocol_error msg -> raise (Net_error ("protocol error: " ^ msg))
-
-let call ?timeout t req =
-  if Message.is_oneway req then
-    invalid_arg "Net_client.call: one-way request (use post)";
-  if not t.handshake then invalid_arg "Net_client.call: push-mode client (post only)";
-  let timeout = match timeout with Some s -> s | None -> t.config.call_timeout in
-  Obs.Counter.incr t.m_rpcs;
-  if t.in_flight then one_shot_call t ~timeout req
-  else begin
-    let conn = ensure_conn t in
-    t.in_flight <- true;
-    Fun.protect ~finally:(fun () -> t.in_flight <- false) @@ fun () ->
-    match
-      write_all conn.fd (Frame.encode (Message.encode_request req));
-      let deadline = Unix.gettimeofday () +. timeout in
-      Message.decode_response (read_frame t conn ~deadline)
-    with
-    | resp -> resp
-    | exception e -> broken t e
-  end
-
-let post t req =
-  if not (Message.is_oneway req) then
-    invalid_arg "Net_client.post: request expects a response (use call)";
-  let conn = ensure_conn t in
-  Obs.Counter.incr t.m_rpcs;
-  match
-    if not t.handshake then drain_push t conn;
-    write_all conn.fd (Frame.encode (Message.encode_request req))
-  with
-  | () -> ()
   | exception e -> broken t e
 
 let pipeline ?timeout t reqs =
+  refuse_in_step "pipeline";
   if List.exists Message.is_oneway reqs then
-    invalid_arg "Net_client.pipeline: one-way request (use post)";
-  if not t.handshake then
-    invalid_arg "Net_client.pipeline: push-mode client (post only)";
+    invalid_arg "Net_client.pipeline: one-way request";
   let timeout = match timeout with Some s -> s | None -> t.config.call_timeout in
-  if t.in_flight then
-    (* re-entrant: serial one-shot exchanges; correctness over batching *)
-    List.map (one_shot_call t ~timeout) reqs
-  else begin
   let conn = ensure_conn t in
-  t.in_flight <- true;
-  Fun.protect ~finally:(fun () -> t.in_flight <- false) @@ fun () ->
   Obs.Counter.add t.m_rpcs (List.length reqs);
   match
     let out = Buffer.create 256 in
@@ -371,4 +253,3 @@ let pipeline ?timeout t reqs =
   with
   | resps -> resps
   | exception e -> broken t e
-  end

@@ -7,6 +7,13 @@
     {!Pequod_proto.Message}. The loop is exposed as [step] so tests (and
     embedding applications) can drive it manually; [run] loops forever.
 
+    Nothing blocks the loop. Every server-to-server exchange goes out
+    through the loop's own transport ({!Peers}), and a request whose
+    answer depends on a peer — a forward, a piece of a split scan or
+    write, a parked read, a migration — takes an in-order response slot
+    that its callback fills; later pipelined requests are served
+    meanwhile and their answers queue behind it.
+
     One instance is owned by exactly one domain. The only cross-domain
     entry points are {!inject} (the shard acceptor handing over an
     accepted connection) and {!request_stop}; both go through a mutex
@@ -31,67 +38,16 @@ module Message = Pequod_proto.Message
 module Frame = Pequod_proto.Frame
 module Persist = Pequod_persist.Persist
 module Interval_map = Pequod_store.Interval_map
+module Outbuf = Peers.Outbuf
 
 let src = Logs.Src.create "pequod.server"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Reusable output buffer: the live span slides ([off] advances as the
-   socket accepts bytes) and compacts, so backpressure costs a blit at
-   worst — never the O(n^2) string rebuild of [outbuf ^ more]. *)
-module Outbuf = struct
-  type t = { mutable b : Bytes.t; mutable off : int; mutable len : int }
-
-  let create () = { b = Bytes.create 4096; off = 0; len = 0 }
-  let length t = t.len
-
-  let reserve t extra =
-    if t.off + t.len + extra > Bytes.length t.b then begin
-      if t.off > 0 then begin
-        Bytes.blit t.b t.off t.b 0 t.len;
-        t.off <- 0
-      end;
-      if t.len + extra > Bytes.length t.b then begin
-        let cap = ref (Bytes.length t.b * 2) in
-        while t.len + extra > !cap do
-          cap := !cap * 2
-        done;
-        let bigger = Bytes.create !cap in
-        Bytes.blit t.b 0 bigger 0 t.len;
-        t.b <- bigger
-      end
-    end
-
-  (* append a length-prefixed frame around [body] *)
-  let add_frame t body =
-    let n = String.length body in
-    if n > Frame.max_frame then raise (Frame.Frame_too_large n);
-    reserve t (4 + n);
-    let p = t.off + t.len in
-    Bytes.unsafe_set t.b p (Char.unsafe_chr ((n lsr 24) land 0xff));
-    Bytes.unsafe_set t.b (p + 1) (Char.unsafe_chr ((n lsr 16) land 0xff));
-    Bytes.unsafe_set t.b (p + 2) (Char.unsafe_chr ((n lsr 8) land 0xff));
-    Bytes.unsafe_set t.b (p + 3) (Char.unsafe_chr (n land 0xff));
-    Bytes.blit_string body 0 t.b (p + 4) n;
-    t.len <- t.len + 4 + n
-
-  (* the socket took [n] bytes *)
-  let consumed t n =
-    t.off <- t.off + n;
-    t.len <- t.len - n;
-    if t.len = 0 then begin
-      t.off <- 0;
-      (* a burst that ballooned the buffer should not pin the memory *)
-      if Bytes.length t.b > 1 lsl 20 then t.b <- Bytes.create 4096
-    end
-
-  let write t fd = Unix.write fd t.b t.off t.len
-end
-
 (* One in-order response slot per request whose reply is not produced
-   synchronously (a parked scan): the wire protocol has no request ids,
-   so responses must leave in per-connection pipeline order. Slots fill
-   out of order; only the ready prefix is flushed. *)
+   synchronously: the wire protocol has no request ids, so responses
+   must leave in per-connection pipeline order. Slots fill out of
+   order; only the ready prefix is flushed. *)
 type slot = { mutable sl_wire : string option }
 
 type client = {
@@ -100,21 +56,23 @@ type client = {
   decoder : Frame.decoder;
   out : Outbuf.t;
   mutable want_write : bool; (* current poller write interest *)
-  mutable busy : bool; (* mid-request: nested steps must not read from it *)
   injected : bool; (* handed over by the shard acceptor (public traffic) *)
   pending : slot Queue.t; (* unfilled/unflushed response slots, request order *)
-  mutable alive : bool; (* false once dropped: late park completions discard *)
+  mutable alive : bool; (* false once dropped: late completions discard *)
 }
 
+(* A request's answer: called exactly once (never, for one-way
+   requests), now or from a later loop step. *)
+type reply = Message.response -> unit
+
 (* A stamped read ([Get_at]/[Scan_at]) whose demanded versions the local
-   copy does not yet satisfy: parked with an in-order response slot and
-   re-checked once per step. It waits briefly for the subscription push
-   to catch up, then forces a refetch by unmarking the stale pieces,
-   then fails with a typed [Stale] at the deadline — never silently
-   serving old data (docs/SESSIONS.md). *)
+   copy does not yet satisfy: parked and re-checked once per step. It
+   waits briefly for the subscription push to catch up, then forces a
+   refetch of the stale pieces, then fails with a typed [Stale] at the
+   deadline — never silently serving old data (docs/SESSIONS.md). *)
 type stamp_wait = {
   sw_client : client;
-  sw_slot : slot;
+  sw_reply : reply;
   sw_req : Message.request; (* the original Get_at/Scan_at *)
   sw_min : Message.stamp_entry list;
   sw_t0 : int; (* Obs.now_ns at park *)
@@ -124,10 +82,11 @@ type stamp_wait = {
 }
 
 (* Shard mode, installed by the shard layer ([set_shard]): only
-   acceptor-handed connections are routed, and [sh_stats] aggregates
-   Stats_full across every shard. *)
+   acceptor-handed connections are routed, and Stats_full merges every
+   shard's snapshot. *)
 type sharding = {
-  sh_stats : unit -> (string * Obs.value) list;
+  sh_shards : string list; (* every shard's address, in shard order *)
+  sh_merge : (int * (string * Obs.value) list) list -> (string * Obs.value) list;
   sh_ops : Obs.Counter.t; (* shard.ops: requests handled by this shard *)
   sh_client_ops : Obs.Counter.t; (* shard.client.ops: acceptor-handed requests *)
   sh_forward_in : Obs.Counter.t; (* shard.forward.in: forwards received *)
@@ -135,10 +94,10 @@ type sharding = {
 
 (* One live range migration (§ docs/PARTITIONING.md): this server is the
    source home handing [mg_table [mg_lo,mg_hi)] to [mg_dest]. The copy
-   runs one chunk per event-loop step; writes landing in the range
-   during the copy are captured in [mg_delta] and replayed before the
-   directory epoch flips, so the destination never becomes the home of
-   a range it only half holds. *)
+   runs one batch per event-loop step; writes landing in the range
+   during the copy are captured in [mg_delta]. The final replay and the
+   epoch flip seal the range: writes to it wait ([mg_held]) until the
+   new home owns it, and are then forwarded there. *)
 type migration = {
   mg_table : string;
   mg_lo : string;
@@ -148,7 +107,10 @@ type migration = {
   mutable mg_delta : (string * string option) list; (* captured writes, newest first *)
   mutable mg_keys : int;
   mutable mg_deltas : int;
-  mg_reply : Unix.file_descr; (* the ctl connection awaiting the answer *)
+  mg_reply : reply; (* the ctl request awaiting the outcome *)
+  mutable mg_waiting : bool; (* a barrier or flip call is in flight *)
+  mutable mg_sealed : bool; (* final replay begun: writes to the range wait *)
+  mutable mg_held : (client * Message.request * reply) list; (* sealed writes, newest first *)
 }
 
 (* The placement every request routes by, installed by
@@ -171,10 +133,7 @@ type t = {
   listener : Unix.file_descr;
   poller : Poller.t;
   conns : (Unix.file_descr, client) Hashtbl.t;
-  (* free receive buffers: nested steps (serving while blocked on a
-     sibling) pop their own so a zero-copy frame view into the outer
-     step's buffer is never overwritten mid-decode *)
-  mutable read_bufs : Bytes.t list;
+  rbuf : Bytes.t; (* receive buffer *)
   shutdown : bool Atomic.t;
   (* cross-domain handoff: the shard acceptor enqueues accepted fds and
      wakes the loop through the pipe *)
@@ -182,30 +141,15 @@ type t = {
   inj_q : Unix.file_descr Queue.t;
   wakeup_r : Unix.file_descr;
   wakeup_w : Unix.file_descr;
-  mutable stepping : bool; (* a step is on the stack: nested steps skip housekeeping *)
-  (* an engine call is on the stack (request handling, a parked-scan
-     retry): steps taken while it is set must not service external fds,
-     whose fetch completions re-enter the engine. A nested step with
-     the engine off-stack — a shard blocked forwarding to a sibling —
-     services them freely; that is what lets a ring of mutually blocked
-     shards finish each other's parked scans instead of deadlocking. *)
-  mutable in_engine : bool;
   mutable pl : placement;
   mutable shard : sharding option;
-  (* call-mode clients for the peers the placement names (forwards,
-     Add_join fan-out, shard stats): the one forwarding path *)
-  callers : (string, Net_client.t) Hashtbl.t;
-  (* a nested [step] used as the forwarding clients' [on_wait] hook,
-     bound on the first real step (it cannot be built in [create]
-     because [step] is defined later) *)
-  mutable nested_step : unit -> unit;
+  tx : Peers.t; (* the one way out to other servers *)
   persist : Persist.t option; (* durability manager, when --data-dir is set *)
   (* home-server subscriptions (§2.4): source table -> subscriber
      callback address per fetched range. Installed by [Fetch], stabbed
      on every client-origin write, dropped when pushes to the address
      stop getting through. *)
   subs : (string, string Interval_map.t) Hashtbl.t;
-  peers : (string, Net_client.t) Hashtbl.t; (* subscriber addr -> push client *)
   (* outgoing pushes, coalesced per destination within one read batch:
      one Notify_batch per subscriber per batch, as in the simulator *)
   pending_notify : (string, (string * string option) list) Hashtbl.t; (* dst -> rev items *)
@@ -228,14 +172,12 @@ type t = {
      the Remote subscription-healing heartbeat; each callback rate-limits
      itself *)
   mutable tickers : (unit -> unit) list;
-  (* asynchronous fetch engine, installed by [Remote.attach ~server]:
-     given the full missing-range set of a parked scan, it issues every
-     fetch (batched per peer, single-flighted across waiters) and calls
-     back once all of them completed. [None]: scans resolve through the
-     engine's blocking resolver, as before. *)
-  mutable fetcher : ((string * string * string) list -> (ok:bool -> unit) -> unit) option;
-  (* non-client fds serviced by this loop: the fetcher's peer sockets *)
-  externals : (Unix.file_descr, readable:bool -> writable:bool -> unit) Hashtbl.t;
+  (* the fetch engine, installed by [Remote.attach]: given the full
+     missing-range set of a parked read, it issues every fetch (batched
+     per peer, single-flighted across waiters) and calls back once all
+     of them completed. A server with no remote placement never misses
+     (no resolver), so the default is never asked. *)
+  mutable fetcher : (string * string * string) list -> (ok:bool -> unit) -> unit;
   m_scan_parked : Obs.Counter.t; (* scan.parked *)
   m_fetch_wait : Obs.Histogram.t; (* resolver.fetch.wait_ns *)
   (* stamped reads parked for freshness, re-checked once per step *)
@@ -248,12 +190,10 @@ type t = {
   m_forward_out : Obs.Counter.t; (* shard.forward.out: requests forwarded to a peer *)
   m_keys : Obs.Counter.t; (* migrate.keys_moved *)
   m_delta : Obs.Counter.t; (* migrate.delta_replayed *)
+  m_sealed : Obs.Counter.t; (* migrate.sealed_writes *)
   m_replica_reads : Obs.Counter.t; (* replica.reads *)
   m_hot : Obs.Counter.t; (* hotspot.detected *)
 }
-
-(* placeholder compared by physical equality; see [nested_step] *)
-let no_nested = fun () -> ()
 
 let placement ?seed ?(hot_threshold = 0.) ?(hot_check_every = 5.0) ~dir ~self_addr () =
   { pl_dir = dir; pl_self = self_addr; pl_seed = seed; pl_hot_threshold = hot_threshold;
@@ -302,21 +242,17 @@ let create ?config ?metrics_every ?backend ~port ~joins ~memory_limit () =
   let obs = Server.obs engine in
   { engine; listener; poller;
     conns = Hashtbl.create 16;
-    read_bufs = [];
+    rbuf = Bytes.create 65_536;
     shutdown = Atomic.make false;
     inj_mu = Mutex.create ();
     inj_q = Queue.create ();
     wakeup_r; wakeup_w;
-    stepping = false;
-    in_engine = false;
     (* until [set_directory]: an empty static placement, all local *)
     pl = placement ~dir:(Result.get_ok (Directory.pin [])) ~self_addr:"" ();
     shard = None;
-    callers = Hashtbl.create 4;
-    nested_step = no_nested;
+    tx = Peers.create ~obs ~poller;
     persist;
     subs = Hashtbl.create 8;
-    peers = Hashtbl.create 8;
     pending_notify = Hashtbl.create 8;
     pending_order = [];
     m_rpcs = Obs.counter obs "net.rpcs";
@@ -333,8 +269,7 @@ let create ?config ?metrics_every ?backend ~port ~joins ~memory_limit () =
     next_dump =
       (match metrics_every with Some s -> Unix.gettimeofday () +. s | None -> infinity);
     tickers = [];
-    fetcher = None;
-    externals = Hashtbl.create 4;
+    fetcher = (fun _ k -> k ~ok:false);
     m_scan_parked = Obs.counter obs "scan.parked";
     m_fetch_wait = Obs.histogram obs "resolver.fetch.wait_ns";
     stamp_waits = [];
@@ -346,6 +281,7 @@ let create ?config ?metrics_every ?backend ~port ~joins ~memory_limit () =
     m_forward_out = Obs.counter obs "shard.forward.out";
     m_keys = Obs.counter obs "migrate.keys_moved";
     m_delta = Obs.counter obs "migrate.delta_replayed";
+    m_sealed = Obs.counter obs "migrate.sealed_writes";
     m_replica_reads = Obs.counter obs "replica.reads";
     m_hot = Obs.counter obs "hotspot.detected" }
 
@@ -353,46 +289,31 @@ let engine t = t.engine
 let persist t = t.persist
 let poller_backend t = Poller.backend t.poller
 
+(** The loop's outgoing transport (see {!Peers}): [Remote]'s fetcher,
+    heal and poll go out through it. *)
+let transport t = t.tx
+
 (** Register background work to run once per {!step} (after I/O); the
     callback is responsible for its own rate limiting. *)
 let add_ticker t f = t.tickers <- t.tickers @ [ f ]
 
-(** {2 External fds}
-
-    The asynchronous fetcher owns nonblocking peer sockets that must be
-    driven by this server's loop. [watch_fd] registers one: [on_ready]
-    runs whenever the fd polls ready and no engine call is on the stack
-    (nested steps taken while blocked on a sibling forward qualify), so
-    fetch completions (which re-run parked scans through the engine)
-    cannot re-enter an engine call already in progress. *)
-let watch_fd t fd ~read ~write ~on_ready =
-  Hashtbl.replace t.externals fd on_ready;
-  Poller.set t.poller fd ~read ~write
-
-(** Adjust poller interest for a watched fd (e.g. write only while the
-    fetcher has buffered output — level-triggered pollers spin
-    otherwise). *)
-let watch_interest t fd ~read ~write = Poller.set t.poller fd ~read ~write
-
-(** Deregister (before closing the fd). *)
-let unwatch_fd t fd =
-  Hashtbl.remove t.externals fd;
-  Poller.remove t.poller fd
-
-(** Install the asynchronous fetch engine (see [Remote.attach ~server]):
-    scans missing base ranges park instead of failing, and [fetcher] is
-    handed the full missing set plus a completion callback. *)
-let set_fetcher t fetcher = t.fetcher <- Some fetcher
+(** Install the fetch engine (see [Remote.attach]): reads missing base
+    ranges park, and [fetcher] is handed the full missing set plus a
+    completion callback. *)
+let set_fetcher t fetcher = t.fetcher <- fetcher
 
 (** Put this server in shard mode (see shard.ml): only connections
     handed over by the acceptor are routed, [Add_join] fans out to every
-    other home of the placement, and [Stats_full] answers [stats ()].
-    Call once, before serving, after {!set_directory}. *)
-let set_shard t ~stats =
+    other home of the placement, and [Stats_full] answers [merge] over
+    the snapshots of [shards] (every shard's address, this one
+    included, in shard order). Call once, before serving, after
+    {!set_directory}. *)
+let set_shard t ~shards ~merge =
   let obs = Server.obs t.engine in
   t.shard <-
     Some
-      { sh_stats = stats;
+      { sh_shards = shards;
+        sh_merge = merge;
         sh_ops = Obs.counter obs "shard.ops";
         sh_client_ops = Obs.counter obs "shard.client.ops";
         sh_forward_in = Obs.counter obs "shard.forward.in" }
@@ -440,12 +361,6 @@ let set_directory t ?seed ?(hot_threshold = 0.) ?hot_check_every ~dir ~self_addr
   t.pl <- placement ?seed ~hot_threshold ?hot_check_every ~dir ~self_addr ();
   Obs.Gauge.set t.m_epoch (Directory.epoch dir);
   if hot_threshold > 0. then add_ticker t (hotspot_tick t)
-
-(** One nested event-loop step, for threading as the [on_wait] of
-    clients owned by this server's loop: while such a client blocks on a
-    call, the loop keeps serving peer traffic — which is what makes
-    symmetric fetches between directory-mode servers deadlock-free. *)
-let on_wait t () = t.nested_step ()
 
 (** The port actually bound (useful with [~port:0]). *)
 let port t =
@@ -508,6 +423,17 @@ let enqueue_response t client wire =
   if Queue.is_empty client.pending then Outbuf.add_frame client.out wire
   else Queue.add { sl_wire = Some wire } client.pending
 
+(* fill a deferred response slot and flush whatever prefix is ready *)
+let fill_slot t client slot response =
+  let wire = Message.encode_response response in
+  Obs.Counter.add t.m_bytes_out (String.length wire + 4);
+  Obs.Histogram.observe t.m_resp_bytes (String.length wire + 4);
+  slot.sl_wire <- Some wire;
+  if client.alive then begin
+    flush_ready client;
+    flush_output t client
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Subscription push (§2.4): the live-cluster version of the
    simulator's coalesced Notify_batch protocol.                        *)
@@ -520,41 +446,11 @@ let subs_for t table =
     Hashtbl.add t.subs table im;
     im
 
-let split_addr addr =
-  match String.rindex_opt addr ':' with
-  | Some i -> (
-    match int_of_string_opt (String.sub addr (i + 1) (String.length addr - i - 1)) with
-    | Some port -> (String.sub addr 0 i, port)
-    | None -> invalid_arg ("bad peer address: " ^ addr))
-  | None -> invalid_arg ("bad peer address: " ^ addr)
-
-(* push client for a subscriber address; push mode ([handshake:false])
-   and a short fuse — a home server must never stall its event loop on a
-   subscriber, not even for the handshake round-trip: a subscriber
-   blocked in a synchronous Fetch back to this home cannot answer a
-   Welcome until we answer the Fetch. Connecting stays bounded (the OS
-   accepts for a busy-but-alive peer without its loop running). *)
-let peer_client t addr =
-  match Hashtbl.find_opt t.peers addr with
-  | Some c -> c
-  | None ->
-    let chost, cport = split_addr addr in
-    let config =
-      { Net_client.connect_timeout = 2.0; call_timeout = 5.0; max_retries = 2;
-        backoff = 0.05 }
-    in
-    let c =
-      Net_client.create ~obs:(Server.obs t.engine) ~config ~handshake:false ~host:chost
-        ~port:cport ()
-    in
-    Hashtbl.add t.peers addr c;
-    c
-
-(* a subscriber stopped taking pushes: forget every subscription it held
-   and its client, so one dead peer costs bounded retries once, not per
-   write forever. Not silent for a subscriber that is in fact alive: its
-   periodic Sub_check no longer lists the dropped ranges, so it refetches
-   and resubscribes instead of serving a frozen copy. *)
+(* a subscriber stopped taking pushes: forget every subscription it
+   held, so one dead peer costs one failed connection, not one per
+   write forever. Not silent for a subscriber that is in fact alive:
+   its periodic Sub_check no longer lists the dropped ranges, so it
+   refetches and resubscribes instead of serving a frozen copy. *)
 let drop_subscriber t addr =
   Hashtbl.iter
     (fun _ im ->
@@ -562,12 +458,7 @@ let drop_subscriber t addr =
       Interval_map.iter im (fun h ->
           if String.equal (Interval_map.handle_data h) addr then doomed := h :: !doomed);
       List.iter (Interval_map.remove im) !doomed)
-    t.subs;
-  match Hashtbl.find_opt t.peers addr with
-  | Some c ->
-    Net_client.close c;
-    Hashtbl.remove t.peers addr
-  | None -> ()
+    t.subs
 
 (* queue one update for every subscriber whose fetched range contains
    [key]; flushed once per read batch *)
@@ -597,10 +488,10 @@ let buffer_notify t key value_opt =
           Hashtbl.replace t.pending_notify dst ((key, value_opt) :: prev))
         (List.sort_uniq compare !targets)
 
-(* one Notify_batch per destination with pending updates, pushed one-way
-   (a response-awaiting push could deadlock two servers fetching from
-   each other). A push that fails after the client's bounded retries
-   drops that subscriber. *)
+(* one Notify_batch per destination with pending updates, posted
+   one-way through the transport (never blocking on the subscriber). A
+   push whose connection fails, or whose output stalls past the
+   transport's deadline, drops that subscriber. *)
 let flush_notifications t =
   let order = List.rev t.pending_order in
   t.pending_order <- [];
@@ -641,49 +532,43 @@ let flush_notifications t =
                   end))
           items;
         let stamps = List.filter (fun (_, _, _, s) -> s > 0) !stamps in
-        (match Net_client.post (peer_client t dst) (Message.Notify_batch { items; stamps }) with
-        | () -> Obs.Counter.incr t.m_notify_out
-        | exception Net_client.Net_error msg ->
-          Log.warn (fun m -> m "dropping subscriber %s: %s" dst msg);
-          drop_subscriber t dst))
+        Obs.Counter.incr t.m_notify_out;
+        Peers.post t.tx dst
+          ~on_fail:(fun msg ->
+            Log.warn (fun m -> m "dropping subscriber %s: %s" dst msg);
+            drop_subscriber t dst)
+          (Message.Notify_batch { items; stamps }))
     order
 
 (* ------------------------------------------------------------------ *)
 (* Placement routing: one forward path for every topology              *)
 
-(* call-mode client for a peer the placement names (a home, a replica,
-   a sibling shard). [on_wait] nested-steps this server's own loop, so
-   two servers forwarding to each other cannot deadlock. *)
-let caller t addr =
-  match Hashtbl.find_opt t.callers addr with
-  | Some c -> c
-  | None ->
-    let chost, cport = split_addr addr in
-    let config =
-      { Net_client.connect_timeout = 2.0; call_timeout = 10.0; max_retries = 2;
-        backoff = 0.05 }
-    in
-    let c =
-      Net_client.create ~obs:(Server.obs t.engine) ~config
-        ~on_wait:(fun () -> t.nested_step ())
-        ~host:chost ~port:cport ()
-    in
-    Hashtbl.add t.callers addr c;
-    c
+(* one call through the transport; a transport failure answers Error *)
+let peer_call t ~timeout addr req k =
+  Peers.call t.tx ~timeout addr req (function
+    | Ok resp -> k resp
+    | Error msg -> k (Message.Error (Printf.sprintf "home %s: %s" addr msg)))
 
-(** A blocking call to [addr] over this server's peer-client cache (the
-    loop keeps serving through nested steps meanwhile). Raises
-    {!Net_client.Net_error}. *)
-let call_peer t addr req = Net_client.call (caller t addr) req
-
-(* forward one request to the peer the placement names; a transport
-   failure answers Error *)
-let forward t addr req =
+(* forward one request to the peer the placement names *)
+let forward t addr req k =
   Obs.Counter.incr t.m_forward_out;
-  match call_peer t addr req with
-  | resp -> resp
-  | exception Net_client.Net_error msg ->
-    Message.Error (Printf.sprintf "home %s: %s" addr msg)
+  peer_call t ~timeout:Peers.forward_timeout addr req k
+
+(* Run every job (each answers its callback exactly once) and hand [k]
+   the answers in job order once the last one is in. *)
+let gather jobs k =
+  match jobs with
+  | [] -> k []
+  | _ ->
+    let answers = Array.make (List.length jobs) Message.Done in
+    let left = ref (Array.length answers) in
+    List.iteri
+      (fun i job ->
+        job (fun resp ->
+            answers.(i) <- resp;
+            decr left;
+            if !left = 0 then k (Array.to_list answers)))
+      jobs
 
 (* Where must a write of [key] be applied? [Some home] when the
    placement names another server: after a migration flips a range away
@@ -709,14 +594,12 @@ let read_target t = function
    a replica whose copy has not caught up to a stamped read's demand —
    also falls through: the home, always last, is authoritative and can
    never be stale. *)
-let read_forward t cands req =
+let read_forward t cands req k =
   let rec go = function
-    | [] -> Message.Error "no reachable server for the range"
-    | [ addr ] -> forward t addr req
-    | addr :: rest -> (
-      match forward t addr req with
-      | Message.Error _ | Message.Stale _ -> go rest
-      | resp -> resp)
+    | [] -> k (Message.Error "no reachable server for the range")
+    | [ addr ] -> forward t addr req k
+    | addr :: rest ->
+      forward t addr req (function Message.Error _ | Message.Stale _ -> go rest | resp -> k resp)
   in
   go cands
 
@@ -753,71 +636,12 @@ let clamp_min min ~lo ~hi =
       else None)
     min
 
-(* Synchronously re-establish a demand: drop the unprovable copies,
-   then touch each dropped range through the engine with the blocking
-   resolver, which refetches it inline and re-records the owner's
-   stamp. The serving read need not scan the ranges it demands (a
-   timeline read demands its sources), so dropping alone is not enough
-   — derived data computed from the dropped copy stays resident and
-   would be served stale. Returns the ranges still unmet afterwards:
-   non-empty means freshness cannot be proven here (the owner is
-   unreachable) and the caller must answer the typed [Stale] rather
-   than serve data the push never refreshed. *)
-let heal_demand t unmet min =
-  List.iter
-    (fun (table, lo, hi, _) -> Server.unmark_present t.engine ~table ~lo ~hi)
-    unmet;
-  List.iter
-    (fun (_, lo, hi, _) ->
-      match Server.scan_result ~may_defer:false t.engine ~lo ~hi with
-      | _ -> ()
-      | exception _ -> ())
-    unmet;
-  Server.stamp_unsatisfied t.engine min
-
-(* start a [Migrate]: validate against the directory, then hand off to
-   the per-step pump ([pump_migration]); the requesting connection is
-   answered only when the handoff completes (or fails) *)
-let start_migration t client ~table ~lo ~hi ~dest =
-  let pl = t.pl in
-  if Directory.pinned pl.pl_dir then Some (Message.Error "no partition directory on this server")
-  else if pl.pl_mig <> None then Some (Message.Error "a migration is already in progress")
-  else if Directory.epoch pl.pl_dir = 0 then
-    Some (Message.Error "no directory epoch yet; seed the directory first")
-  else if String.equal dest pl.pl_self then Some (Message.Error "destination is this server")
-  else begin
-    (* dry-run the flip now so a doomed migration fails before any data
-       moves: the range must be fully covered, by one home *)
-    match Directory.assign (Directory.entries pl.pl_dir) ~table ~lo ~hi ~home:dest with
-    | Error msg -> Some (Message.Error msg)
-    | Ok _ ->
-      if not (Directory.home_of pl.pl_dir ~key:lo = Some pl.pl_self) then
-        Some
-          (Message.Error
-             (Printf.sprintf "this server is not the home of %s[%s,%s)" table lo hi))
-      else begin
-        Log.app (fun m -> m "migrating %s[%s,%s) to %s" table lo hi dest);
-        pl.pl_mig <-
-          Some
-            { mg_table = table; mg_lo = lo; mg_hi = hi; mg_dest = dest; mg_cursor = lo;
-              mg_delta = []; mg_keys = 0; mg_deltas = 0; mg_reply = client.fd };
-        None (* deferred: the pump answers on completion *)
-      end
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Parked scans: a miss never blocks the loop                          *)
+(* Parked reads: a miss never blocks the loop                          *)
 
-(* a parked scan that keeps discovering new ranges (each feed can unlock
+(* a parked read that keeps discovering new ranges (each feed can unlock
    further check-gated value ranges) retries at most this many times *)
 let max_park_retries = 64
-
-(* run [f] flagged as an engine call: steps nested inside it must not
-   service the fetcher's sockets, whose completions re-enter the engine *)
-let engine_call t f =
-  let saved = t.in_engine in
-  t.in_engine <- true;
-  Fun.protect ~finally:(fun () -> t.in_engine <- saved) f
 
 let missing_error = function
   | (table, flo, fhi) :: _ ->
@@ -825,60 +649,43 @@ let missing_error = function
       (Printf.sprintf "missing base range %s[%s,%s): owning peer unreachable" table flo fhi)
   | [] -> Message.Error "missing base range: owning peer unreachable"
 
-(* fill a deferred response slot and flush whatever prefix is ready *)
-let fill_slot t client slot response =
-  let wire = Message.encode_response response in
-  Obs.Counter.add t.m_bytes_out (String.length wire + 4);
-  Obs.Histogram.observe t.m_resp_bytes (String.length wire + 4);
-  slot.sl_wire <- Some wire;
-  if client.alive then begin
-    flush_ready client;
-    flush_output t client
-  end
-
-(* Park a scan whose base ranges are missing: enqueue its in-order
-   response slot, hand the full missing set to the fetcher, and retry
-   the scan when the fetches land. A retry may surface ranges that were
-   unreachable before the feed (a check source gates which value ranges
-   are scanned), so the loop runs until the scan completes or the retry
+(* The one engine read, [lo, hi) served here. A miss parks: the full
+   missing set goes to the fetcher, and the scan is retried when the
+   fetches land. A retry may surface ranges that were unreachable
+   before the feed (a check source gates which value ranges are
+   scanned), so the loop runs until the scan completes or the retry
    budget is spent. The connection stays live throughout: later
    pipelined requests are served (their responses queue behind this
-   slot) and other connections never notice — the miss no longer
-   head-of-line blocks the loop.
-
-   [slot] reuses an already-enqueued response slot: a stamped read that
-   parked for freshness first and then found ranges missing keeps its
-   pipeline position. *)
-let park_scan ?slot t client ~lo ~hi ranges =
-  Obs.Counter.incr t.m_scan_parked;
-  let fetcher = match t.fetcher with Some f -> f | None -> assert false in
-  let slot =
-    match slot with
-    | Some s -> s
-    | None ->
-      let s = { sl_wire = None } in
-      Queue.add s client.pending;
-      s
-  in
+   one's slot) and other connections never notice. *)
+let read_local t ~lo ~hi k =
   let t0 = Obs.now_ns () in
-  let tries = ref 0 in
-  let finish response =
-    Obs.Histogram.observe t.m_fetch_wait (Obs.now_ns () - t0);
-    fill_slot t client slot response
+  let rec attempt tries =
+    match Server.scan_result t.engine ~lo ~hi with
+    | `Ok pairs -> finish tries (Message.Pairs pairs)
+    | `Missing ranges ->
+      if tries = 0 then Obs.Counter.incr t.m_scan_parked;
+      if tries >= max_park_retries then finish tries (missing_error ranges)
+      else
+        t.fetcher ranges (fun ~ok ->
+            if ok then attempt (tries + 1) else finish tries (missing_error ranges))
+    | exception e -> finish tries (Message.Error (Printexc.to_string e))
+  and finish tries resp =
+    if tries > 0 then Obs.Histogram.observe t.m_fetch_wait (Obs.now_ns () - t0);
+    k resp
   in
-  let rec attempt ranges =
-    fetcher ranges (fun ~ok ->
-        if not ok then finish (missing_error ranges)
-        else
-          match Server.scan_result t.engine ~lo ~hi with
-          | `Ok pairs -> finish (Message.Pairs pairs)
-          | `Missing ranges' ->
-            incr tries;
-            if !tries > max_park_retries then finish (missing_error ranges')
-            else attempt ranges'
-          | exception e -> finish (Message.Error (Printexc.to_string e)))
-  in
-  attempt ranges
+  attempt 0
+
+(* a point read is a one-key engine read *)
+let read_key t key k =
+  read_local t ~lo:key ~hi:(Strkey.key_after key) (function
+    | Message.Pairs pairs -> k (Message.Value (List.assoc_opt key pairs))
+    | resp -> k resp)
+
+let serve_read t req k =
+  match req with
+  | Message.Get key | Message.Get_at { key; _ } -> read_key t key k
+  | Message.Scan { lo; hi } | Message.Scan_at { lo; hi; _ } -> read_local t ~lo ~hi k
+  | _ -> invalid_arg "Net_server.serve_read"
 
 (* ------------------------------------------------------------------ *)
 (* Parked stamped reads: freshness never blocks the loop either        *)
@@ -890,23 +697,21 @@ let park_scan ?slot t client ~lo ~hi ranges =
 let stamp_refetch_after_ns = 5_000_000 (* give the push 5ms to catch up *)
 let stamp_deadline_ns = 2_000_000_000 (* then the read fails [Stale] *)
 
-(* park a stamped read whose demand is not yet satisfied; the per-step
-   pump below re-checks it *)
-let park_stamped t client req ~min =
-  let slot = { sl_wire = None } in
-  Queue.add slot client.pending;
-  t.stamp_waits <-
-    { sw_client = client; sw_slot = slot; sw_req = req; sw_min = min;
-      sw_t0 = Obs.now_ns (); sw_refetched = false; sw_fetching = false;
-      sw_fetch_failed = false }
-    :: t.stamp_waits
+(* Drop the copies that cannot prove [unmet] and fetch them back; [k]
+   runs when the refetch completed. The serving read need not scan the
+   ranges it demands (a timeline read demands its sources), so dropping
+   alone is not enough: the refetch's [feed_base] re-fires the updaters,
+   repairing derived data computed from the stale copy, and re-records
+   the owner's stamp. *)
+let refetch_demand t unmet k =
+  List.iter (fun (table, lo, hi, _) -> Server.unmark_present t.engine ~table ~lo ~hi) unmet;
+  t.fetcher (List.map (fun (table, lo, hi, _) -> (table, lo, hi)) unmet) k
 
 (* One pump pass over the parked stamped reads, called once per step:
    a wait whose demand the subscription push has satisfied is served; a
-   wait older than [stamp_refetch_after_ns] drops its stale pieces so
-   the serve refetches them from their owner; a wait older than
-   [stamp_deadline_ns] fails with the typed [Stale] carrying the unmet
-   sub-ranges. *)
+   wait older than [stamp_refetch_after_ns] refetches its stale pieces
+   from their owner; a wait older than [stamp_deadline_ns] fails with
+   the typed [Stale] carrying the unmet sub-ranges. *)
 let pump_stamp_waits t =
   match t.stamp_waits with
   | [] -> ()
@@ -917,75 +722,34 @@ let pump_stamp_waits t =
       (fun w ->
         if w.sw_client.alive then begin
           let serve () =
-            (* serving re-enters the engine (and may park on missing
-               ranges): flag it like any request handler *)
-            engine_call t @@ fun () ->
             Obs.Histogram.observe t.m_stamp_wait (Obs.now_ns () - w.sw_t0);
-            match w.sw_req with
-            | Message.Get_at { key; _ } ->
-              let resp =
-                match Server.get t.engine key with
-                | v -> Message.Value v
-                | exception e -> Message.Error (Printexc.to_string e)
-              in
-              fill_slot t w.sw_client w.sw_slot resp
-            | Message.Scan_at { lo; hi; _ } -> (
-              match Server.scan_result t.engine ~lo ~hi with
-              | `Ok pairs -> fill_slot t w.sw_client w.sw_slot (Message.Pairs pairs)
-              | `Missing ranges when t.fetcher <> None ->
-                park_scan ~slot:w.sw_slot t w.sw_client ~lo ~hi ranges
-              | `Missing missing -> fill_slot t w.sw_client w.sw_slot (missing_error missing)
-              | exception e ->
-                fill_slot t w.sw_client w.sw_slot (Message.Error (Printexc.to_string e)))
-            | _ -> assert false
+            serve_read t w.sw_req w.sw_reply
+          in
+          let stale unmet waited =
+            Obs.Counter.incr t.m_stale_errors;
+            Obs.Histogram.observe t.m_stamp_wait waited;
+            w.sw_reply (Message.Stale unmet)
           in
           match Server.stamp_unsatisfied t.engine w.sw_min with
           | [] -> serve ()
           | unmet ->
             let waited = Obs.now_ns () - w.sw_t0 in
-            if waited >= stamp_deadline_ns then begin
-              Obs.Counter.incr t.m_stale_errors;
-              Obs.Histogram.observe t.m_stamp_wait waited;
-              fill_slot t w.sw_client w.sw_slot (Message.Stale unmet)
-            end
+            if waited >= stamp_deadline_ns then stale unmet waited
             else begin
               if waited >= stamp_refetch_after_ns && not w.sw_refetched then begin
-                (* the push is not catching up: drop the stale copies
-                   and fetch them back explicitly. The serve need not
-                   scan the ranges it demands (a timeline read demands
-                   its sources), so dropping alone would let derived
-                   data the push never refreshed be served as fresh —
-                   only a completed refetch, which re-records the
-                   owner's stamp, discharges the demand. *)
+                (* the push is not catching up: only a completed
+                   refetch, which re-records the owner's stamp,
+                   discharges the demand *)
                 w.sw_refetched <- true;
-                List.iter
-                  (fun (table, lo, hi, _) -> Server.unmark_present t.engine ~table ~lo ~hi)
-                  unmet;
-                match t.fetcher with
-                | Some fetch ->
-                  w.sw_fetching <- true;
-                  fetch
-                    (List.map (fun (table, lo, hi, _) -> (table, lo, hi)) unmet)
-                    (fun ~ok ->
-                      w.sw_fetching <- false;
-                      if not ok then w.sw_fetch_failed <- true)
-                | None ->
-                  (* blocking resolver: touch each dropped range so it
-                     refetches inline *)
-                  List.iter
-                    (fun (_, lo, hi, _) ->
-                      match Server.scan_result t.engine ~lo ~hi with
-                      | _ -> ()
-                      | exception _ -> ())
-                    unmet
+                w.sw_fetching <- true;
+                refetch_demand t unmet (fun ~ok ->
+                    w.sw_fetching <- false;
+                    if not ok then w.sw_fetch_failed <- true)
               end;
-              if w.sw_fetch_failed then begin
+              if w.sw_fetch_failed then
                 (* the owner is unreachable: freshness cannot be
                    re-established, so fail honestly and fast *)
-                Obs.Counter.incr t.m_stale_errors;
-                Obs.Histogram.observe t.m_stamp_wait waited;
-                fill_slot t w.sw_client w.sw_slot (Message.Stale unmet)
-              end
+                stale unmet waited
               else if
                 w.sw_refetched && (not w.sw_fetching)
                 && Server.stamp_unsatisfied t.engine w.sw_min = []
@@ -996,54 +760,79 @@ let pump_stamp_waits t =
       waits;
     t.stamp_waits <- !keep @ t.stamp_waits
 
-(* Serve a stamped read: answer immediately when the demand is already
-   satisfied; otherwise park on the async path (fetcher present), or —
-   on the blocking path — heal synchronously by unmarking the stale
-   pieces so the engine's resolver refetches them inline during the
-   read. *)
-let serve_stamped t client req ~min =
-  let answer () =
-    match req with
-    | Message.Get_at { key; _ } -> (
-      match Server.get t.engine key with
-      | v -> Some (Message.Value v)
-      | exception e -> Some (Message.Error (Printexc.to_string e)))
-    | Message.Scan_at { lo; hi; _ } -> (
-      match Server.scan_result t.engine ~lo ~hi with
-      | `Ok pairs -> Some (Message.Pairs pairs)
-      | `Missing ranges ->
-        if t.fetcher <> None then begin
-          park_scan t client ~lo ~hi ranges;
-          None
-        end
-        else Some (missing_error ranges)
-      | exception e -> Some (Message.Error (Printexc.to_string e)))
-    | _ -> assert false
-  in
+(* Serve a stamped read: answer at once when the demand is already
+   satisfied, else park it for the per-step pump. *)
+let serve_stamped t client req ~min k =
   match Server.stamp_unsatisfied t.engine min with
-  | [] -> answer ()
-  | unmet ->
+  | [] -> serve_read t req k
+  | _ ->
     Obs.Counter.incr t.m_stale_waits;
-    if t.fetcher <> None then begin
-      park_stamped t client req ~min;
-      None
-    end
-    else begin
-      match heal_demand t unmet min with
-      | [] -> answer ()
-      | still ->
-        Obs.Counter.incr t.m_stale_errors;
-        Some (Message.Stale still)
-    end
+    t.stamp_waits <-
+      { sw_client = client; sw_reply = k; sw_req = req; sw_min = min;
+        sw_t0 = Obs.now_ns (); sw_refetched = false; sw_fetching = false;
+        sw_fetch_failed = false }
+      :: t.stamp_waits
+
+(* ------------------------------------------------------------------ *)
+(* Migration: the source side of a live range handoff                  *)
+
+(* start a [Migrate]: validate against the directory, then hand off to
+   the per-step pump ([pump_migration]); [k] answers only when the
+   handoff completes (or fails) *)
+let start_migration t ~table ~lo ~hi ~dest k =
+  let pl = t.pl in
+  let refuse msg = k (Message.Error msg) in
+  if Directory.pinned pl.pl_dir then refuse "no partition directory on this server"
+  else if pl.pl_mig <> None then refuse "a migration is already in progress"
+  else if Directory.epoch pl.pl_dir = 0 then
+    refuse "no directory epoch yet; seed the directory first"
+  else if String.equal dest pl.pl_self then refuse "destination is this server"
+  else begin
+    (* dry-run the flip now so a doomed migration fails before any data
+       moves: the range must be fully covered, by one home *)
+    match Directory.assign (Directory.entries pl.pl_dir) ~table ~lo ~hi ~home:dest with
+    | Error msg -> refuse msg
+    | Ok _ ->
+      if not (Directory.home_of pl.pl_dir ~key:lo = Some pl.pl_self) then
+        refuse (Printf.sprintf "this server is not the home of %s[%s,%s)" table lo hi)
+      else begin
+        Log.app (fun m -> m "migrating %s[%s,%s) to %s" table lo hi dest);
+        pl.pl_mig <-
+          Some
+            { mg_table = table; mg_lo = lo; mg_hi = hi; mg_dest = dest; mg_cursor = lo;
+              mg_delta = []; mg_keys = 0; mg_deltas = 0; mg_reply = k; mg_waiting = false;
+              mg_sealed = false; mg_held = [] }
+      end
+  end
+
+(* the keys a request writes *)
+let written_keys = function
+  | Message.Put (k, _) | Message.Remove k -> [ k ]
+  | Message.Put_batch pairs -> List.map fst pairs
+  | _ -> []
+
+(* A write into a range whose migration is sealed waits for the flip
+   (then [dispatch] runs it again, routed to the new home); true when
+   [req] was held. *)
+let hold_sealed t client req k =
+  match t.pl.pl_mig with
+  | Some mg
+    when mg.mg_sealed
+         && List.exists
+              (fun key -> String.compare mg.mg_lo key <= 0 && String.compare key mg.mg_hi < 0)
+              (written_keys req) ->
+    Obs.Counter.incr t.m_sealed;
+    mg.mg_held <- (client, req, k) :: mg.mg_held;
+    true
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
 
 (* Apply one request to this server's own engine, whatever the
-   placement says — routing happened above ([dispatch]). [None] for
-   one-way requests and parked reads: no response frame yet. *)
-let handle_local t client req =
-  engine_call t @@ fun () ->
+   placement says — routing happened above ([dispatch]). One-way
+   requests never answer. *)
+let handle_local t client req k =
   match req with
   | Message.Fetch { table; lo; hi; subscriber } -> (
     Obs.Counter.incr t.m_fetch_in;
@@ -1057,7 +846,7 @@ let handle_local t client req =
        frozen snapshot. *)
     match entry with
     | Some e when not (Directory.serves e ~self:t.pl.pl_self) ->
-      Some
+      k
         (Message.Error
            (Printf.sprintf "not the home for %s[%s,%s) (directory names %s)" table lo hi
               e.Message.de_home))
@@ -1085,14 +874,14 @@ let handle_local t client req =
     | `Ok pairs ->
       (* the stamp this snapshot is current through: the subscriber
          records it, and session reads demand at least it *)
-      Some (Message.Subscribed { stamp = Server.range_stamp t.engine ~table ~lo ~hi; pairs })
+      k (Message.Subscribed { stamp = Server.range_stamp t.engine ~table ~lo ~hi; pairs })
     | `Missing _ ->
       (* this server does not own the range; rescind the subscription *)
       Option.iter (Interval_map.remove (subs_for t table)) handle;
-      Some (Message.Error (Printf.sprintf "not the home for %s[%s,%s)" table lo hi))
+      k (Message.Error (Printf.sprintf "not the home for %s[%s,%s)" table lo hi))
     | exception e ->
       Option.iter (Interval_map.remove (subs_for t table)) handle;
-      Some (Message.Error (Printexc.to_string e))))
+      k (Message.Error (Printexc.to_string e))))
   | Message.Sub_check { subscriber } ->
     (* subscription heartbeat: report every range still pushed to
        this subscriber, so it can detect (and heal) a drop *)
@@ -1105,159 +894,142 @@ let handle_local t client req =
               ranges := (table, lo, hi) :: !ranges
             end))
       t.subs;
-    Some (Message.Sub_ranges (List.sort compare !ranges))
-  | Message.Notify_put (k, v) ->
+    k (Message.Sub_ranges (List.sort compare !ranges))
+  | Message.Notify_put (key, v) ->
     ignore (Message.apply_to_server t.engine req);
     Obs.Counter.incr t.m_notify_in;
-    buffer_notify t k (Some v);
-    None
-  | Message.Notify_remove k ->
+    buffer_notify t key (Some v)
+  | Message.Notify_remove key ->
     ignore (Message.apply_to_server t.engine req);
     Obs.Counter.incr t.m_notify_in;
-    buffer_notify t k None;
-    None
+    buffer_notify t key None
   | Message.Notify_batch { items; _ } ->
     (* [apply_to_server] applies the items and records the stamp
        trailer, so the freshness promise lands with the data *)
     ignore (Message.apply_to_server t.engine req);
     Obs.Counter.incr t.m_notify_in;
-    List.iter (fun (k, v) -> buffer_notify t k v) items;
-    None
-  | Message.Put (k, v) ->
+    List.iter (fun (key, v) -> buffer_notify t key v) items
+  | Message.Put (key, v) ->
     let resp = Message.apply_to_server t.engine req in
-    buffer_notify t k (Some v);
-    Some resp
-  | Message.Remove k ->
+    buffer_notify t key (Some v);
+    k resp
+  | Message.Remove key ->
     let resp = Message.apply_to_server t.engine req in
-    buffer_notify t k None;
-    Some resp
+    buffer_notify t key None;
+    k resp
   | Message.Put_batch pairs ->
     let resp = Message.apply_to_server t.engine req in
-    List.iter (fun (k, v) -> buffer_notify t k (Some v)) pairs;
-    Some resp
-  | Message.Scan { lo; hi } when t.fetcher <> None -> (
-    match Server.scan_result t.engine ~lo ~hi with
-    | `Ok pairs -> Some (Message.Pairs pairs)
-    | `Missing ranges ->
-      park_scan t client ~lo ~hi ranges;
-      None
-    | exception e -> Some (Message.Error (Printexc.to_string e)))
+    List.iter (fun (key, v) -> buffer_notify t key (Some v)) pairs;
+    k resp
+  | Message.Get _ | Message.Scan _ -> serve_read t req k
   | Message.Get_at { min; _ } | Message.Scan_at { min; _ } ->
     Obs.Counter.incr t.m_session_reads;
-    serve_stamped t client req ~min
+    serve_stamped t client req ~min k
   | Message.Dir_get | Message.Dir_watch _ | Message.Dir_update _ -> (
     let dir = t.pl.pl_dir in
     let state () =
       Message.Dir_state { epoch = Directory.epoch dir; entries = Directory.entries dir }
     in
     match req with
-    | _ when Directory.pinned dir ->
-      Some (Message.Error "no partition directory on this server")
-    | Message.Dir_get -> Some (state ())
+    | _ when Directory.pinned dir -> k (Message.Error "no partition directory on this server")
+    | Message.Dir_get -> k (state ())
     | Message.Dir_watch { epoch } ->
-      if Directory.epoch dir > epoch then Some (state ()) else Some Message.Done
+      k (if Directory.epoch dir > epoch then state () else Message.Done)
     | Message.Dir_update { epoch; entries } -> (
       match Directory.install dir ~epoch ~entries with
       | Ok () ->
         Obs.Gauge.set t.m_epoch epoch;
         Log.info (fun m ->
             m "directory updated to epoch %d (%d entries)" epoch (List.length entries));
-        Some Message.Done
-      | Error msg -> Some (Message.Error msg))
+        k Message.Done
+      | Error msg -> k (Message.Error msg))
     | _ -> assert false)
-  | Message.Migrate { table; lo; hi; dest } -> start_migration t client ~table ~lo ~hi ~dest
-  | req -> Some (Message.apply_to_server t.engine req)
-
-(* one piece of a composite scan, served here: the blocking resolver
-   fetches inline (a composite answer cannot park) *)
-let local_piece t ~lo ~hi =
-  engine_call t @@ fun () ->
-  match Server.scan_result ~may_defer:false t.engine ~lo ~hi with
-  | `Ok pairs -> Message.Pairs pairs
-  | `Missing ranges -> missing_error ranges
-  | exception e -> Message.Error (Printexc.to_string e)
+  | Message.Migrate { table; lo; hi; dest } -> start_migration t ~table ~lo ~hi ~dest k
+  | req -> k (Message.apply_to_server t.engine req)
 
 (* A scan the placement splits. Pieces homed (or replicated) here, and
-   gaps nothing governs, scan the local engine; pieces homed elsewhere
-   forward a clamped [Scan] to a replica or the home; a scatter asks
-   every home for the whole range. Pieces come back in key order, so
-   concatenation is the ordered answer; scatter answers merge, deduped
-   by key, the local answer winning ties.
+   gaps nothing governs, are engine reads here (parking on a miss);
+   pieces homed elsewhere forward a clamped [Scan] to a replica or the
+   home; a scatter asks every home for the whole range. Every piece is
+   under way at once. Pieces come back in key order, so concatenation
+   is the ordered answer; scatter answers merge, deduped by key, the
+   local answer winning ties.
 
    [min] is a stamped read's demand vector ([] for plain scans): the
-   local copy heals synchronously first, and remote pieces forward a
-   clamped [Scan_at] so each candidate enforces the demand on its own
-   copy (a stale replica answers [Stale] and [read_forward] falls
-   through to the home). Any [Stale] answer makes the whole scan
-   [Stale]. *)
-let composite_scan t ~lo ~hi ~min route =
-  let still_unmet =
-    match min with
-    | [] -> []
-    | _ -> (
-      Obs.Counter.incr t.m_session_reads;
-      match Server.stamp_unsatisfied t.engine min with
-      | [] -> []
-      | unmet ->
-        Obs.Counter.incr t.m_stale_waits;
-        heal_demand t unmet min)
-  in
-  match still_unmet with
-  | _ :: _ as still ->
-    Obs.Counter.incr t.m_stale_errors;
-    Message.Stale still
-  | [] ->
+   local copy is refetched first where it cannot prove the demand, and
+   remote pieces forward a clamped [Scan_at] so each candidate enforces
+   the demand on its own copy (a stale replica answers [Stale] and
+   [read_forward] falls through to the home). Any [Stale] answer makes
+   the whole scan [Stale]. *)
+let composite_scan t ~lo ~hi ~min route k =
+  let serve () =
     let req ~lo ~hi =
       match clamp_min min ~lo ~hi with
       | [] -> Message.Scan { lo; hi }
       | m -> Message.Scan_at { lo; hi; min = m }
     in
-    let answers, merge =
+    let jobs, merge =
       match route with
       | `Pieces pieces ->
         ( List.map
             (fun (e, plo, phi) ->
               match read_target t e with
-              | None -> local_piece t ~lo:plo ~hi:phi
+              | None -> read_local t ~lo:plo ~hi:phi
               | Some cands -> read_forward t cands (req ~lo:plo ~hi:phi))
             pieces,
           List.concat )
       | `Scatter homes ->
-        ( local_piece t ~lo ~hi
+        ( read_local t ~lo ~hi
           :: List.filter_map
                (fun h ->
-                 if String.equal h t.pl.pl_self then None
-                 else Some (forward t h (req ~lo ~hi)))
+                 if String.equal h t.pl.pl_self then None else Some (forward t h (req ~lo ~hi)))
                homes,
           List.fold_left Directory.merge_dedup [] )
     in
-    let stale = List.concat_map (function Message.Stale st -> st | _ -> []) answers in
-    let err =
-      List.find_map
-        (function
-          | Message.Pairs _ | Message.Stale _ -> None
-          | Message.Error m -> Some m
-          | _ -> Some "unexpected scan response")
-        answers
-    in
-    match (stale, err) with
-    | _ :: _, _ -> Message.Stale stale
-    | [], Some m -> Message.Error m
-    | [], None ->
-      Message.Pairs (merge (List.map (function Message.Pairs p -> p | _ -> []) answers))
+    gather jobs (fun answers ->
+        let stale = List.concat_map (function Message.Stale st -> st | _ -> []) answers in
+        let err =
+          List.find_map
+            (function
+              | Message.Pairs _ | Message.Stale _ -> None
+              | Message.Error m -> Some m
+              | _ -> Some "unexpected scan response")
+            answers
+        in
+        k
+          (match (stale, err) with
+          | _ :: _, _ -> Message.Stale stale
+          | [], Some m -> Message.Error m
+          | [], None ->
+            Message.Pairs (merge (List.map (function Message.Pairs p -> p | _ -> []) answers))))
+  in
+  match min with
+  | [] -> serve ()
+  | _ -> (
+    Obs.Counter.incr t.m_session_reads;
+    match Server.stamp_unsatisfied t.engine min with
+    | [] -> serve ()
+    | unmet ->
+      Obs.Counter.incr t.m_stale_waits;
+      refetch_demand t unmet (fun ~ok:_ ->
+          match Server.stamp_unsatisfied t.engine min with
+          | [] -> serve ()
+          | still ->
+            Obs.Counter.incr t.m_stale_errors;
+            k (Message.Stale still)))
 
 (* A scan that is one piece — every join-output read, every scan inside
-   one home's range — is the engine's own (parking on a miss) or one
-   forward; anything wider is composite. *)
-let route_scan t client ~lo ~hi ~min req =
+   one home's range — is the engine's own or one forward; anything
+   wider is composite. *)
+let route_scan t client ~lo ~hi ~min req k =
   tally_read t (Directory.entry_of t.pl.pl_dir ~key:lo);
   match Directory.scan_route t.pl.pl_dir ~lo ~hi with
-  | `Pieces [] -> handle_local t client req
+  | `Pieces [] -> handle_local t client req k
   | `Pieces [ (e, _, _) ] -> (
     match read_target t e with
-    | None -> handle_local t client req
-    | Some cands -> Some (read_forward t cands req))
-  | route -> Some (composite_scan t ~lo ~hi ~min route)
+    | None -> handle_local t client req k
+    | Some cands -> read_forward t cands req k)
+  | route -> composite_scan t ~lo ~hi ~min route k
 
 (* fold the answers of a split write: the first error wins, else [ok] *)
 let gather_acks answers ~ok =
@@ -1276,33 +1048,33 @@ let gather_acks answers ~ok =
    per-target order; forward each remote group and reassemble one stamp
    vector for the ack. A batch homed entirely here — every batch a home
    is sent — costs one ownership check per pair. *)
-let route_put_batch t client pairs =
-  if List.for_all (fun (k, _) -> write_home t k = None) pairs then
-    handle_local t client (Message.Put_batch pairs)
+let route_put_batch t client pairs k =
+  if List.for_all (fun (key, _) -> write_home t key = None) pairs then
+    handle_local t client (Message.Put_batch pairs) k
   else begin
     let groups : (string option, (string * string) list) Hashtbl.t = Hashtbl.create 4 in
     let order = ref [] in
     List.iter
-      (fun ((k, _) as p) ->
-        let tgt = write_home t k in
+      (fun ((key, _) as p) ->
+        let tgt = write_home t key in
         match Hashtbl.find_opt groups tgt with
         | Some l -> Hashtbl.replace groups tgt (p :: l)
         | None ->
           order := tgt :: !order;
           Hashtbl.add groups tgt [ p ])
       pairs;
-    let answers =
-      List.rev_map
-        (fun tgt ->
-          let sub = Message.Put_batch (List.rev (Hashtbl.find groups tgt)) in
-          match tgt with
-          | None -> Option.value (handle_local t client sub) ~default:Message.Done
-          | Some h -> forward t h sub)
-        !order
-    in
-    Some
-      (gather_acks answers ~ok:(fun acks ->
-           Message.Stamps (List.concat_map (function Message.Stamps s -> s | _ -> []) acks)))
+    gather
+      (List.rev_map
+         (fun tgt ->
+           let sub = Message.Put_batch (List.rev (Hashtbl.find groups tgt)) in
+           match tgt with
+           | None -> handle_local t client sub
+           | Some h -> forward t h sub)
+         !order)
+      (fun answers ->
+        k
+          (gather_acks answers ~ok:(fun acks ->
+               Message.Stamps (List.concat_map (function Message.Stamps s -> s | _ -> []) acks))))
   end
 
 (* requests whose kind only reaches a shard's own listener as a sibling
@@ -1318,7 +1090,7 @@ let forward_kind = function
 (* route one decoded request by the placement. In shard mode only
    acceptor-handed connections are routed; everything arriving on the
    shard's own listener is local *)
-let dispatch t client req =
+let dispatch t client req k =
   let routed =
     match t.shard with
     | None -> true
@@ -1328,94 +1100,104 @@ let dispatch t client req =
       else if forward_kind req then Obs.Counter.incr sh.sh_forward_in;
       client.injected
   in
-  if not routed then handle_local t client req
+  if not routed then handle_local t client req k
+  else if hold_sealed t client req k then ()
   else
     match (req, t.shard) with
-    | (Message.Put (k, _) | Message.Remove k), _ -> (
-      match write_home t k with
-      | Some h -> Some (forward t h req)
-      | None -> handle_local t client req)
-    | (Message.Get k | Message.Get_at { key = k; _ }), _ -> (
-      let entry = Directory.entry_of t.pl.pl_dir ~key:k in
+    | (Message.Put (key, _) | Message.Remove key), _ -> (
+      match write_home t key with
+      | Some h -> forward t h req k
+      | None -> handle_local t client req k)
+    | (Message.Get key | Message.Get_at { key; _ }), _ -> (
+      let entry = Directory.entry_of t.pl.pl_dir ~key in
       tally_read t entry;
       match read_target t entry with
-      | Some cands -> Some (read_forward t cands req)
-      | None -> handle_local t client req)
-    | Message.Put_batch pairs, _ -> route_put_batch t client pairs
-    | Message.Scan { lo; hi }, _ -> route_scan t client ~lo ~hi ~min:[] req
-    | Message.Scan_at { lo; hi; min }, _ -> route_scan t client ~lo ~hi ~min req
-    | Message.Add_join _, Some _ -> (
+      | Some cands -> read_forward t cands req k
+      | None -> handle_local t client req k)
+    | Message.Put_batch pairs, _ -> route_put_batch t client pairs k
+    | Message.Scan { lo; hi }, _ -> route_scan t client ~lo ~hi ~min:[] req k
+    | Message.Scan_at { lo; hi; min }, _ -> route_scan t client ~lo ~hi ~min req k
+    | Message.Add_join _, Some _ ->
       (* install on every shard: each materializes the join for the
          timeline slices its clients scan *)
-      match handle_local t client req with
-      | Some Message.Done ->
-        Some
-          (gather_acks ~ok:(fun _ -> Message.Done)
-             (List.filter_map
-                (fun h ->
-                  if String.equal h t.pl.pl_self then None else Some (forward t h req))
-                (Directory.homes t.pl.pl_dir)))
-      | other -> other)
-    | Message.Stats_full, Some sh -> (
-      match sh.sh_stats () with
-      | metrics -> Some (Message.Metrics metrics)
-      | exception e -> Some (Message.Error (Printexc.to_string e)))
-    | _ -> handle_local t client req
+      handle_local t client req (function
+        | Message.Done ->
+          gather
+            (List.filter_map
+               (fun h ->
+                 if String.equal h t.pl.pl_self then None else Some (forward t h req))
+               (Directory.homes t.pl.pl_dir))
+            (fun answers -> k (gather_acks answers ~ok:(fun _ -> Message.Done)))
+        | other -> k other)
+    | Message.Stats_full, Some sh ->
+      gather
+        (List.map
+           (fun a k ->
+             if String.equal a t.pl.pl_self then
+               k (Message.Metrics (Server.metrics_snapshot t.engine))
+             else peer_call t ~timeout:Peers.forward_timeout a Message.Stats_full k)
+           sh.sh_shards)
+        (fun answers ->
+          k
+            (Message.Metrics
+               (sh.sh_merge
+                  (List.mapi
+                     (fun i -> function
+                       | Message.Metrics m -> (i, m)
+                       | resp ->
+                         (match resp with
+                         | Message.Error msg ->
+                           Log.warn (fun m -> m "stats from shard %d failed: %s" i msg)
+                         | _ -> ());
+                         (i, []))
+                     answers))))
+    | _ -> handle_local t client req k
 
-(* one frame, decoded straight out of the receive buffer (no copy) *)
+(* one frame, decoded straight out of the receive buffer (no copy). An
+   answer ready before [dispatch] returns goes straight out; otherwise
+   the request takes an in-order slot its callback fills later. *)
 let handle_frame t client buf ~off ~len =
   Obs.Counter.incr t.m_rpcs;
   Obs.Histogram.observe t.m_req_bytes len;
-  let resp =
-    match Message.decode_request_view buf ~off ~len with
-    | req ->
-      (* per-kind RPC tally; pequod's whole evaluation counts messages *)
-      if !Obs.enabled then
-        Obs.Counter.incr
-          (Obs.counter (Server.obs t.engine) ("rpc." ^ Message.request_kind req));
-      dispatch t client req
-    | exception Message.Protocol_error msg ->
-      Some (Message.Error ("protocol error: " ^ msg))
-    | exception e -> Some (Message.Error (Printexc.to_string e))
-  in
-  match resp with
-  | None -> ()
-  | Some response -> enqueue_response t client (Message.encode_response response)
-
-(* receive buffers for [handle_readable]: a pool rather than one shared
-   buffer because a nested step (serving while blocked on a sibling
-   call) must not overwrite the outer step's in-flight frame views *)
-let pop_read_buf t =
-  match t.read_bufs with
-  | b :: rest ->
-    t.read_bufs <- rest;
-    b
-  | [] -> Bytes.create 65_536
-
-let push_read_buf t b = t.read_bufs <- b :: t.read_bufs
+  match Message.decode_request_view buf ~off ~len with
+  | exception Message.Protocol_error msg ->
+    enqueue_response t client (Message.encode_response (Message.Error ("protocol error: " ^ msg)))
+  | exception e ->
+    enqueue_response t client (Message.encode_response (Message.Error (Printexc.to_string e)))
+  | req -> (
+    (* per-kind RPC tally; pequod's whole evaluation counts messages *)
+    if !Obs.enabled then
+      Obs.Counter.incr (Obs.counter (Server.obs t.engine) ("rpc." ^ Message.request_kind req));
+    let slot = ref None and now = ref None in
+    let reply resp =
+      match !slot with Some s -> fill_slot t client s resp | None -> now := Some resp
+    in
+    (try dispatch t client req reply
+     with e -> if !now = None then now := Some (Message.Error (Printexc.to_string e)));
+    match !now with
+    | Some resp -> enqueue_response t client (Message.encode_response resp)
+    | None ->
+      if not (Message.is_oneway req) then begin
+        let s = { sl_wire = None } in
+        Queue.add s client.pending;
+        slot := Some s
+      end)
 
 let handle_readable t client =
-  let buf = pop_read_buf t in
-  Fun.protect ~finally:(fun () -> push_read_buf t buf) @@ fun () ->
-  match Unix.read client.fd buf 0 (Bytes.length buf) with
+  match Unix.read client.fd t.rbuf 0 (Bytes.length t.rbuf) with
   | 0 -> drop t client
   | n -> (
     Obs.Counter.add t.m_bytes_in n;
-    client.busy <- true;
-    match
-      Fun.protect
-        ~finally:(fun () -> client.busy <- false)
-        (fun () ->
-          (* all responses for one read are accumulated in the client's
-             output buffer and flushed once: a pipelined batch (e.g. the
-             CLI's --load chunks) costs one syscall out, not one per
-             frame *)
-          Frame.feed_bytes client.decoder buf 0 n ~frame:(handle_frame t client))
-    with
+    (* all responses for one read are accumulated in the client's
+       output buffer and flushed once: a pipelined batch (e.g. the
+       CLI's --load chunks) costs one syscall out, not one per frame *)
+    match Frame.feed_bytes client.decoder t.rbuf 0 n ~frame:(handle_frame t client) with
     | () ->
       if Outbuf.length client.out > 0 then flush_output t client;
-      (* after the whole batch: one coalesced push per subscriber *)
-      flush_notifications t
+      (* after the whole batch: one coalesced push per subscriber, and
+         one burst per peer for whatever the batch sent out *)
+      flush_notifications t;
+      Peers.push t.tx
     | exception Frame.Frame_too_large _ -> drop t client)
   | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> drop t client
@@ -1425,8 +1207,7 @@ let register t fd ~injected =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   let client =
     { fd; peer = peer_name fd; decoder = Frame.decoder (); out = Outbuf.create ();
-      want_write = false; busy = false; injected; pending = Queue.create ();
-      alive = true }
+      want_write = false; injected; pending = Queue.create (); alive = true }
   in
   Log.info (fun m -> m "client %s connected%s" client.peer
       (if injected then " (via acceptor)" else ""));
@@ -1489,55 +1270,8 @@ let drain_injected t =
 (* ------------------------------------------------------------------ *)
 (* Migration pump: drives at most one live range handoff, one bounded
    batch of work per event-loop step, so the source keeps serving
-   while the copy runs.                                                *)
-
-exception Mig_fail of string
-
-(* a blocking (no [on_wait]) client for the final replay-and-flip: while
-   it is in flight this loop processes nothing, so no write can land
-   between the last delta item and the epoch flip *)
-let mig_client t addr =
-  let chost, cport = split_addr addr in
-  let config =
-    { Net_client.connect_timeout = 2.0; call_timeout = 15.0; max_retries = 2;
-      backoff = 0.05 }
-  in
-  Net_client.create ~obs:(Server.obs t.engine) ~config ~host:chost ~port:cport ()
-
-let mig_barrier c =
-  (* any synchronous, locally-handled call: the response proves every
-     frame posted before it on this connection has been applied (frames
-     are processed in order per connection). Dir_get is answered from
-     the destination's own directory copy and never forwarded — a [Get]
-     for a key in the moving range would bounce straight back to this
-     (blocked) server, because the destination still routes the range
-     here until the epoch flips. *)
-  match Net_client.call c Message.Dir_get with
-  | Message.Dir_state _ -> ()
-  | Message.Error msg -> raise (Mig_fail msg)
-  | _ -> raise (Mig_fail "unexpected barrier response")
-  | exception Net_client.Net_error msg -> raise (Mig_fail msg)
-
-(* feed [items] ((key, Some v | None) in write order) to [c] as posted
-   Notify_batch frames. Notify — not Put — so the receiver applies them
-   locally instead of re-forwarding through its own directory (which
-   still names this server as the range's home until the flip). *)
-let mig_feed c items =
-  let rec chunks = function
-    | [] -> ()
-    | items ->
-      let rec take n acc = function
-        | rest when n = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | x :: rest -> take (n - 1) (x :: acc) rest
-      in
-      let batch, rest = take 1024 [] items in
-      (match Net_client.post c (Message.Notify_batch { items = batch; stamps = [] }) with
-      | () -> ()
-      | exception Net_client.Net_error msg -> raise (Mig_fail msg));
-      chunks rest
-  in
-  chunks items
+   while the copy runs. Every exchange with the destination and the
+   seed is a transport call whose callback moves the handoff on.      *)
 
 let finish_migration t mg resp =
   t.pl.pl_mig <- None;
@@ -1552,180 +1286,191 @@ let finish_migration t mg resp =
     Log.app (fun m ->
         m "migration of %s[%s,%s) to %s complete: %d keys, %d delta writes" mg.mg_table
           mg.mg_lo mg.mg_hi mg.mg_dest mg.mg_keys mg.mg_deltas));
-  match Hashtbl.find_opt t.conns mg.mg_reply with
-  | None -> () (* the requesting ctl client went away *)
-  | Some client ->
-    enqueue_response t client (Message.encode_response resp);
-    flush_output t client
+  (* the held writes run again, in arrival order: forwarded to the new
+     home after a flip, applied here after a failure *)
+  List.iter (fun (client, req, k) -> dispatch t client req k) (List.rev mg.mg_held);
+  mg.mg_held <- [];
+  mg.mg_reply resp
 
-(* the copy is done: atomically replay the delta, flip the directory
-   epoch, hand over subscribers, and release local ownership *)
+(* one call of the handoff; any failure ends the migration with the
+   directory unchanged *)
+let mig_call t mg addr req k =
+  Peers.call t.tx ~timeout:Peers.migrate_timeout addr req (function
+    | Ok (Message.Error msg) -> finish_migration t mg (Message.Error msg)
+    | Ok resp -> k resp
+    | Error msg -> finish_migration t mg (Message.Error msg))
+
+(* any locally-handled call: its response proves every frame posted
+   before it on this connection has been applied (frames are processed
+   in order per connection). Dir_get is answered from the destination's
+   own directory copy and never forwarded — a [Get] for a key in the
+   moving range would bounce straight back here, because the
+   destination still routes the range to this server until the epoch
+   flips. *)
+let mig_barrier t mg k =
+  mg.mg_waiting <- true;
+  mig_call t mg mg.mg_dest Message.Dir_get (fun _ ->
+      mg.mg_waiting <- false;
+      k ())
+
+(* feed [items] ((key, Some v | None) in write order) to the destination
+   as posted Notify_batch frames. Notify — not Put — so the receiver
+   applies them locally instead of re-forwarding through its own
+   directory (which still names this server as the range's home until
+   the flip). *)
+let mig_feed t mg items =
+  let rec chunks = function
+    | [] -> ()
+    | items ->
+      let rec take n acc = function
+        | rest when n = 0 -> (List.rev acc, rest)
+        | [] -> (List.rev acc, [])
+        | x :: rest -> take (n - 1) (x :: acc) rest
+      in
+      let batch, rest = take 1024 [] items in
+      Peers.post t.tx mg.mg_dest (Message.Notify_batch { items = batch; stamps = [] });
+      chunks rest
+  in
+  chunks items
+
+(* The copy is done: seal the range, replay the delta, flip the
+   directory epoch, hand over subscribers, and release local ownership.
+   From the seal on, writes to the range wait in their response slots
+   (see [hold_sealed]); everything else is served throughout. *)
 let complete_migration t mg =
   let pl = t.pl in
   let { mg_table = table; mg_lo = lo; mg_hi = hi; mg_dest = dest; _ } = mg in
-  let destc = mig_client t dest in
-  Fun.protect ~finally:(fun () -> Net_client.close destc) @@ fun () ->
-  (* 1. replay the write delta captured during the copy. [destc] never
-     nested-steps this loop, so nothing can append to the delta (or
-     write to the range at all) until the flip below is visible. *)
-  let rec drain () =
-    match mg.mg_delta with
-    | [] -> ()
-    | d ->
-      mg.mg_delta <- [];
-      let items = List.rev d in
-      mg.mg_deltas <- mg.mg_deltas + List.length items;
-      Obs.Counter.add t.m_delta (List.length items);
-      mig_feed destc items;
-      drain ()
-  in
-  drain ();
+  mg.mg_sealed <- true;
+  (* 1. replay the write delta captured during the copy; sealed, the
+     range takes no further writes *)
+  let items = List.rev mg.mg_delta in
+  mg.mg_delta <- [];
+  mg.mg_deltas <- mg.mg_deltas + List.length items;
+  Obs.Counter.add t.m_delta (List.length items);
+  mig_feed t mg items;
   (* hand the range's version stamps over before the flip: the new
      home's counter must continue where this one stops, or a session's
      acked stamp could exceed anything the new home ever issues *)
-  (let stamp_trailer =
-     List.filter_map
-       (fun (tb, slo, shi, s) ->
-         if
-           String.equal tb table
-           && String.compare slo hi < 0
-           && String.compare lo shi < 0
-         then
-           Some
-             ( tb,
-               (if String.compare slo lo < 0 then lo else slo),
-               (if String.compare hi shi < 0 then hi else shi),
-               s )
-         else None)
-       (Server.stamp_ranges t.engine)
-   in
-   if stamp_trailer <> [] then
-     match
-       Net_client.post destc (Message.Notify_batch { items = []; stamps = stamp_trailer })
-     with
-     | () -> ()
-     | exception Net_client.Net_error msg -> raise (Mig_fail msg));
-  mig_barrier destc;
-  (* 2. flip the directory epoch: from this version on the cluster
-     routes the range to [dest]. The directory is only ever updated
-     after the destination holds the complete range, so a migration
-     killed at any earlier point leaves the epoch — and reads — exactly
-     where they were. *)
-  let assign_or_fail entries =
+  let stamp_trailer =
+    List.filter_map
+      (fun (tb, slo, shi, s) ->
+        if String.equal tb table && String.compare slo hi < 0 && String.compare lo shi < 0
+        then
+          Some
+            ( tb,
+              (if String.compare slo lo < 0 then lo else slo),
+              (if String.compare hi shi < 0 then hi else shi),
+              s )
+        else None)
+      (Server.stamp_ranges t.engine)
+  in
+  if stamp_trailer <> [] then
+    Peers.post t.tx dest (Message.Notify_batch { items = []; stamps = stamp_trailer });
+  let assign entries =
     match Directory.assign entries ~table ~lo ~hi ~home:dest with
-    | Ok e -> e
-    | Error msg -> raise (Mig_fail msg)
+    | Ok e -> Some e
+    | Error msg ->
+      finish_migration t mg (Message.Error msg);
+      None
   in
-  let epoch', entries' =
-    match pl.pl_seed with
-    | None ->
-      let entries' = assign_or_fail (Directory.entries pl.pl_dir) in
-      let epoch' = Directory.epoch pl.pl_dir + 1 in
-      (match Directory.install pl.pl_dir ~epoch:epoch' ~entries:entries' with
-      | Ok () -> Obs.Gauge.set t.m_epoch epoch'
-      | Error msg -> raise (Mig_fail msg));
-      (epoch', entries')
-    | Some seed ->
-      let seedc = mig_client t seed in
-      Fun.protect ~finally:(fun () -> Net_client.close seedc) @@ fun () ->
-      let epoch0, entries0 =
-        match Net_client.call seedc Message.Dir_get with
-        | Message.Dir_state { epoch; entries } -> (epoch, entries)
-        | Message.Error msg -> raise (Mig_fail ("seed: " ^ msg))
-        | _ -> raise (Mig_fail "seed: unexpected Dir_get response")
-        | exception Net_client.Net_error msg -> raise (Mig_fail ("seed: " ^ msg))
-      in
-      let entries' = assign_or_fail entries0 in
-      let epoch' = epoch0 + 1 in
-      (match Net_client.call seedc (Message.Dir_update { epoch = epoch'; entries = entries' }) with
-      | Message.Done -> ()
-      | Message.Error msg -> raise (Mig_fail ("seed: " ^ msg))
-      | _ -> raise (Mig_fail "seed: unexpected Dir_update response")
-      | exception Net_client.Net_error msg -> raise (Mig_fail ("seed: " ^ msg)));
-      (* flip our own follower copy in the same breath: the very next
-         write to the moved range must forward, not apply locally *)
-      (match Directory.install pl.pl_dir ~epoch:epoch' ~entries:entries' with
-      | Ok () -> Obs.Gauge.set t.m_epoch epoch'
-      | Error _ -> ());
-      (epoch', entries')
+  (* 3. once our own copy flipped: tell the new home directly (its poll
+     would learn the flip anyway; this closes the window where it still
+     routes the range back to us), and hand our subscribers over on the
+     same connection — the new home installs each one through the
+     ordinary Fetch path, naming the subscriber's own callback address,
+     so pushes keep flowing without waiting for a Sub_check heal round.
+     The sealed writes go out once the new home answered. *)
+  let handoff epoch' entries' =
+    (match Directory.install pl.pl_dir ~epoch:epoch' ~entries:entries' with
+    | Ok () -> Obs.Gauge.set t.m_epoch epoch'
+    | Error _ -> ());
+    Peers.call t.tx ~timeout:Peers.migrate_timeout dest
+      (Message.Dir_update { epoch = epoch'; entries = entries' })
+      (fun _ ->
+        (* 4. this server no longer owns the range; its own resolver (on
+           the flipped routes) now fetches it from the new home *)
+        Server.unmark_present t.engine ~table ~lo ~hi;
+        finish_migration t mg
+          (Message.Pairs
+             [ ("keys_moved", string_of_int mg.mg_keys);
+               ("delta_replayed", string_of_int mg.mg_deltas);
+               ("epoch", string_of_int epoch') ]));
+    match Hashtbl.find_opt t.subs table with
+    | None -> ()
+    | Some im ->
+      let handles = ref [] in
+      Interval_map.iter_overlapping im ~lo ~hi (fun h -> handles := h :: !handles);
+      List.iter
+        (fun h ->
+          let slo, shi = Interval_map.handle_range h in
+          let addr = Interval_map.handle_data h in
+          if not (String.equal addr dest) then begin
+            let clo = if String.compare lo slo < 0 then slo else lo in
+            let chi = if String.compare shi hi < 0 then shi else hi in
+            Peers.call t.tx ~timeout:Peers.migrate_timeout dest
+              (Message.Fetch { table; lo = clo; hi = chi; subscriber = addr })
+              ignore
+          end;
+          (* entries fully inside the moved range are dropped (their
+             subscriber hears from the new home now); a straddling entry
+             keeps serving its unmoved part — its moved part can never
+             fire again, because writes there no longer apply locally *)
+          if String.compare lo slo <= 0 && String.compare shi hi <= 0 then
+            Interval_map.remove im h)
+        !handles
   in
-  (* 3. tell the new home directly — its poll would learn the flip
-     anyway; this closes the window where it still routes the range
-     back to us *)
-  (try
-     ignore (Net_client.call destc (Message.Dir_update { epoch = epoch'; entries = entries' }))
-   with Net_client.Net_error _ -> ());
-  (* 4. hand our subscribers over: the new home installs each one
-     through the ordinary Fetch path (naming the subscriber's own
-     callback address), so pushes keep flowing without waiting for each
-     subscriber's Sub_check heal round to notice *)
-  (match Hashtbl.find_opt t.subs table with
-  | None -> ()
-  | Some im ->
-    let handles = ref [] in
-    Interval_map.iter_overlapping im ~lo ~hi (fun h -> handles := h :: !handles);
-    List.iter
-      (fun h ->
-        let slo, shi = Interval_map.handle_range h in
-        let addr = Interval_map.handle_data h in
-        if not (String.equal addr dest) then begin
-          let clo = if String.compare lo slo < 0 then slo else lo in
-          let chi = if String.compare shi hi < 0 then shi else hi in
-          try
-            ignore
-              (Net_client.call destc
-                 (Message.Fetch { table; lo = clo; hi = chi; subscriber = addr }))
-          with Net_client.Net_error _ -> ()
-        end;
-        (* entries fully inside the moved range are dropped (their
-           subscriber hears from the new home now); a straddling entry
-           keeps serving its unmoved part — its moved part can never
-           fire again, because writes there no longer apply locally *)
-        if String.compare lo slo <= 0 && String.compare shi hi <= 0 then
-          Interval_map.remove im h)
-      !handles);
-  (* 5. this server no longer owns the range; its own resolver (on the
-     flipped routes) now fetches it from the new home on demand *)
-  Server.unmark_present t.engine ~table ~lo ~hi;
-  finish_migration t mg
-    (Message.Pairs
-       [ ("keys_moved", string_of_int mg.mg_keys);
-         ("delta_replayed", string_of_int mg.mg_deltas);
-         ("epoch", string_of_int epoch') ])
+  (* 2. flip the directory epoch, once the destination holds the whole
+     range: a migration killed at any earlier point leaves the epoch —
+     and reads — exactly where they were *)
+  mig_barrier t mg (fun () ->
+      match pl.pl_seed with
+      | None ->
+        Option.iter
+          (fun entries' -> handoff (Directory.epoch pl.pl_dir + 1) entries')
+          (assign (Directory.entries pl.pl_dir))
+      | Some seed ->
+        mig_call t mg seed Message.Dir_get (function
+          | Message.Dir_state { epoch; entries } ->
+            Option.iter
+              (fun entries' ->
+                let epoch' = epoch + 1 in
+                mig_call t mg seed (Message.Dir_update { epoch = epoch'; entries = entries' })
+                  (fun _ -> handoff epoch' entries'))
+              (assign entries)
+          | _ -> finish_migration t mg (Message.Error "seed: unexpected Dir_get response")))
 
 let mig_chunk = 512 (* keys per posted snapshot batch *)
 let mig_chunks_per_step = 64
 
 (* one step's worth of copying: up to [mig_chunks_per_step] chunks
-   posted to the destination, then a barrier call (which nested-steps
-   this loop, so clients keep getting served while the copy cruises) *)
+   posted to the destination, then a barrier call; the next batch waits
+   for its answer *)
 let pump_migration t =
   match t.pl.pl_mig with
-  | None -> ()
-  | Some mg -> (
-    try
-      let destc = caller t mg.mg_dest in
-      let copied_all = ref false in
-      let budget = ref mig_chunks_per_step in
-      while (not !copied_all) && !budget > 0 do
-        decr budget;
-        match
-          Server.scan_result ~limit:mig_chunk t.engine ~lo:mg.mg_cursor ~hi:mg.mg_hi
-        with
-        | `Missing _ -> raise (Mig_fail "this server does not hold the range")
+  | Some mg when not (mg.mg_waiting || mg.mg_sealed) -> (
+    let rec copy budget =
+      if budget = 0 then `More
+      else
+        match Server.scan_result ~limit:mig_chunk t.engine ~lo:mg.mg_cursor ~hi:mg.mg_hi with
+        | `Missing _ -> `Fail
         | `Ok pairs ->
           let n = List.length pairs in
           if n > 0 then begin
-            mig_feed destc (List.map (fun (k, v) -> (k, Some v)) pairs);
+            mig_feed t mg (List.map (fun (k, v) -> (k, Some v)) pairs);
             mg.mg_keys <- mg.mg_keys + n;
             Obs.Counter.add t.m_keys n
           end;
-          if n = mig_chunk then mg.mg_cursor <- fst (List.nth pairs (n - 1)) ^ "\x00"
-          else copied_all := true
-      done;
-      mig_barrier destc;
-      if !copied_all then complete_migration t mg
-    with Mig_fail msg -> finish_migration t mg (Message.Error msg))
+          if n = mig_chunk then begin
+            mg.mg_cursor <- fst (List.nth pairs (n - 1)) ^ "\x00";
+            copy (budget - 1)
+          end
+          else `Done
+    in
+    match copy mig_chunks_per_step with
+    | `Fail -> finish_migration t mg (Message.Error "this server does not hold the range")
+    | `More -> mig_barrier t mg ignore
+    | `Done -> complete_migration t mg)
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The loop                                                            *)
@@ -1749,78 +1494,50 @@ let maybe_dump_metrics t =
     end
 
 (** One iteration of the event loop: wait up to [timeout] seconds for
-    readiness, then accept/read/write whatever is ready.
-
-    Re-entrant by design: a shard blocked in a synchronous sibling call
-    serves its own connections through nested steps (the Net_client
-    [on_wait] hook), which is what makes symmetric cross-shard calls
-    deadlock-free. A nested step skips accepting, adopting injected
-    connections, tickers and persistence housekeeping — and never reads
-    from a connection whose request is already on the stack ([busy]) or
-    from acceptor-handed (public) connections, so while blocked a shard
-    only advances sibling/peer traffic. *)
-let rec step ?(timeout = 1.0) t =
-  if t.nested_step == no_nested then
-    t.nested_step <- (fun () -> step ~timeout:0.0 t);
-  let nested = t.stepping in
-  t.stepping <- true;
-  Fun.protect ~finally:(fun () -> t.stepping <- nested) @@ fun () ->
+    readiness, accept/read/write whatever is ready, then run the
+    housekeeping (injected connections, the migration pump, parked
+    stamped reads, persistence, tickers, pushes, and the transport's
+    deadlines). Never re-entered and never blocked on a peer: a
+    blocking {!Net_client} call made during a step raises
+    [Invalid_argument]. *)
+let step ?(timeout = 1.0) t =
+  Peers.run_step @@ fun () ->
   let timeout =
-    (* a live migration wants the pump back promptly, idle or not *)
-    match t.pl.pl_mig with Some _ -> 0.0 | None -> timeout
-  in
-  let timeout =
-    (* so do parked stamped reads: their refetch/deadline clocks tick
-       even when no frame arrives *)
-    if t.stamp_waits <> [] then Float.min timeout 0.002 else timeout
+    (* work that must not wait for I/O: a migration with copying to do,
+       transport completions due, parked stamped reads (their
+       refetch/deadline clocks tick even when no frame arrives) *)
+    match t.pl.pl_mig with
+    | Some mg when not (mg.mg_waiting || mg.mg_sealed) -> 0.0
+    | _ ->
+      if Peers.urgent t.tx then 0.0
+      else if t.stamp_waits <> [] then Float.min timeout 0.002
+      else timeout
   in
   let events = Poller.wait t.poller ~timeout in
   List.iter
     (fun (fd, readable, writable) ->
       if fd = t.wakeup_r then (if readable then drain_wakeup t)
-      else if fd = t.listener then begin
-        (* accepted even while nested: connections to a shard's own
-           listener are always cluster-internal (a sibling's fetch or
-           forward client connecting lazily) — refusing them while
-           blocked on that very sibling would deadlock the pair. Public
-           traffic only ever arrives through [inject], which nested
-           steps do skip. *)
-        if readable then accept_clients t
-      end
+      else if fd = t.listener then (if readable then accept_clients t)
       else
-        match Hashtbl.find_opt t.externals fd with
-        | Some on_ready ->
-          (* fetcher peer sockets: serviced whenever the engine is
-             off-stack — a fetch completion re-runs parked scans
-             through the engine, which must not re-enter an engine call
-             already on the stack, but a nested step taken while merely
-             blocked on a sibling forward must service them, or a ring
-             of shards all waiting on each other's parked scans never
-             completes any of them *)
-          if not t.in_engine then begin
-            t.in_engine <- true;
-            Fun.protect ~finally:(fun () -> t.in_engine <- false)
-              (fun () -> on_ready ~readable ~writable)
-          end
-        | None -> (
-          match Hashtbl.find_opt t.conns fd with
-          | None -> () (* dropped earlier in this very event batch *)
-          | Some client ->
-            if writable then flush_output t client;
-            if readable && not client.busy && not (nested && client.injected) then (
-              (* [client] may have been dropped by the flush above *)
-              match Hashtbl.find_opt t.conns fd with
-              | Some c when c == client -> handle_readable t client
-              | _ -> ())))
+        match Hashtbl.find_opt t.conns fd with
+        | None ->
+          (* a transport socket: completions may send the next wave of
+             fetches, which leave at once *)
+          Peers.ready t.tx fd ~readable ~writable;
+          Peers.push t.tx
+        | Some client ->
+          if writable then flush_output t client;
+          (* [client] may have been dropped by the flush above *)
+          if readable && client.alive then handle_readable t client)
     events;
-  if not nested then begin
-    drain_injected t;
-    pump_migration t;
-    pump_stamp_waits t;
-    Option.iter Persist.tick t.persist;
-    List.iter (fun f -> f ()) t.tickers;
-    maybe_dump_metrics t
-  end
+  drain_injected t;
+  pump_migration t;
+  pump_stamp_waits t;
+  Option.iter Persist.tick t.persist;
+  List.iter (fun f -> f ()) t.tickers;
+  flush_notifications t;
+  Peers.tick t.tx;
+  maybe_dump_metrics t
 
 (** Serve until {!stop} or {!request_stop}. *)
 let run t =
@@ -1835,12 +1552,7 @@ let stop t =
   Atomic.set t.shutdown true;
   Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
   Hashtbl.reset t.conns;
-  Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) t.externals;
-  Hashtbl.reset t.externals;
-  Hashtbl.iter (fun _ c -> Net_client.close c) t.peers;
-  Hashtbl.reset t.peers;
-  Hashtbl.iter (fun _ c -> Net_client.close c) t.callers;
-  Hashtbl.reset t.callers;
+  Peers.close t.tx;
   Option.iter Persist.close t.persist;
   Poller.close t.poller;
   (try Unix.close t.wakeup_r with Unix.Unix_error _ -> ());

@@ -1,6 +1,7 @@
-(* Wires Net_client into a cache engine as its missing-range resolver:
-   the compute-server half of the §2.4 fetch/subscribe protocol, planned
-   against the server's placement (directory.mli). *)
+(* The compute-server half of the §2.4 fetch/subscribe protocol: a
+   cache engine's missing-range resolver and fetch engine, planned
+   against the server's placement (directory.mli), speaking through the
+   serving loop's own transport (peers.mli). *)
 
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
@@ -9,50 +10,6 @@ module Joinspec = Pequod_pattern.Joinspec
 let src = Logs.Src.create "pequod.remote"
 
 module Log = (val Logs.src_log src : Logs.LOG)
-
-(* peer clients, one per owning address, created lazily and registered
-   in the engine's own metrics registry ([net.client.retries] etc.) *)
-let client_cache ?config ?on_wait obs =
-  let cache : (string, Net_client.t) Hashtbl.t = Hashtbl.create 4 in
-  fun addr ->
-    match Hashtbl.find_opt cache addr with
-    | Some c -> c
-    | None ->
-      let chost, cport = Net_server.split_addr addr in
-      let c = Net_client.create ~obs ?config ?on_wait ~host:chost ~port:cport () in
-      Hashtbl.add cache addr c;
-      c
-
-(* One blocking fetch+subscribe exchange: the §2.4 [Fetch] naming this
-   server as the subscriber, answered by a [Subscribed] snapshot. On
-   success the granted subscription is recorded in [tracked] (keyed by
-   the exact clamp, valued by the granting server) for the healing
-   heartbeat to audit. The blocking resolver, replica warming and the
-   heal without an asynchronous host share it, so the protocol exchange
-   lives exactly once. *)
-let fetch_one ~engine ~client_for ~tracked ~m_fetch_out ~self_addr ~table ~lo ~hi addr =
-  Obs.Counter.incr m_fetch_out;
-  match
-    Net_client.call (client_for addr)
-      (Message.Fetch { table; lo; hi; subscriber = self_addr })
-  with
-  | Message.Subscribed { stamp; pairs } ->
-    Hashtbl.replace tracked (table, lo, hi) addr;
-    (* record the snapshot's version: stamped reads compare their demand
-       against it. Every feed path must go through this — the replica
-       warming path used to skip it, leaving a warmed replica unable to
-       detect (and heal) its own staleness under a stamped read. *)
-    if stamp > 0 then Server.set_range_stamp engine ~table ~lo ~hi stamp;
-    Some pairs
-  | Message.Error msg ->
-    Log.warn (fun m -> m "fetch %s[%s,%s) from %s refused: %s" table lo hi addr msg);
-    None
-  | _ ->
-    Log.warn (fun m -> m "fetch %s[%s,%s) from %s: unexpected response" table lo hi addr);
-    None
-  | exception Net_client.Net_error msg ->
-    Log.warn (fun m -> m "fetch %s[%s,%s) from %s failed: %s" table lo hi addr msg);
-    None
 
 let plan dir ~self ~table ~lo ~hi =
   match Directory.governing dir ~table with
@@ -70,28 +27,24 @@ let plan dir ~self ~table ~lo ~hi =
              | _ -> None)
            pieces)
 
-(* The asynchronous fetch engine behind [Net_server]'s parked scans.
+(* The fetch engine behind [Net_server]'s parked reads.
 
-   Where the blocking resolver holds the event loop hostage for one
-   round-trip per missing range, the fetcher owns its own nonblocking
-   peer sockets, driven by the serving loop itself
-   ([Net_server.watch_fd]): a parked scan's whole missing-range set is
-   planned into per-home clamps and written as one pipelined burst per
-   peer, concurrently across peers. Responses are matched to fetches in
-   per-connection pipeline order (the wire has no request ids), fed
-   into the engine, and the scan retried once the full set has landed.
-   A clamp carries its candidates — the range's replicas, then its home
-   — and a refusal or a dead peer moves the fetch on to the next one.
+   A parked read's whole missing-range set is planned into per-home
+   clamps and sent through the loop's transport, pipelined per peer and
+   concurrent across peers. Each answer is fed into the engine, and the
+   read retried once the full set has landed. A clamp carries its
+   candidates — the range's replicas, then its home — and a refusal, a
+   dead peer or an expired deadline moves the fetch on to the next one.
+   When every candidate refused, the placement may have moved under the
+   fetch (a migration flip this server's poll has not seen yet): the
+   seed is polled at once, and if a newer epoch installs the waiters
+   retry and re-plan against it; only an unmoved epoch fails them.
 
    Single-flight: an in-flight table keyed by the exact (table, lo, hi)
-   clamp means N concurrent parked scans missing the same range share
+   clamp means N concurrent parked reads missing the same range share
    one wire [Fetch] and one [feed_base]; the extra joins are counted in
-   [fetch.coalesced]. No [Hello] is sent on fetcher sockets — the
-   server answers frames without a handshake, and a [Welcome] would
-   desynchronise the response-order matching. *)
+   [fetch.coalesced]. *)
 module Fetcher = struct
-  module Frame = Pequod_proto.Frame
-
   type waiter = {
     mutable w_remaining : int; (* clamps not yet landed *)
     mutable w_failed : bool;
@@ -102,20 +55,11 @@ module Fetcher = struct
     fl_key : string * string * string; (* table, clamp lo, clamp hi *)
     mutable fl_waiters : waiter list;
     mutable fl_cands : string list; (* candidates not yet tried, in order *)
-  }
-
-  type peer = {
-    p_addr : string;
-    mutable p_fd : Unix.file_descr option;
-    mutable p_connecting : bool; (* nonblocking connect pending SO_ERROR *)
-    mutable p_decoder : Frame.decoder;
-    p_out : Buffer.t; (* encoded frames not yet written *)
-    p_flights : flight Queue.t; (* responses match heads in order *)
-    mutable p_down_until : float; (* reconnect backoff deadline *)
+    mutable fl_refused : bool; (* some candidate refused the range *)
   }
 
   type t = {
-    f_server : Net_server.t;
+    f_tx : Peers.t;
     f_engine : Server.t;
     f_self : string;
     (* missing range -> (table, clamp lo, clamp hi, candidates),
@@ -123,40 +67,27 @@ module Fetcher = struct
     f_plan :
       table:string -> lo:string -> hi:string ->
       [ `Fail | `Nothing | `Clamps of (string * string * string * string list) list ];
+    (* poll the seed now; true when a newer epoch installed *)
+    f_repoll : (bool -> unit) -> unit;
     f_tracked : (string * string * string, string) Hashtbl.t;
-    f_peers : (string, peer) Hashtbl.t;
     f_inflight : (string * string * string, flight) Hashtbl.t;
-    f_buf : Bytes.t;
     m_fetch_out : Obs.Counter.t; (* peer.fetch.out *)
     m_coalesced : Obs.Counter.t; (* fetch.coalesced *)
     m_inflight : Obs.Gauge.t; (* fetch.inflight *)
   }
 
-  let create ~server ~engine ~self_addr ~plan ~tracked =
+  let create ~tx ~engine ~self_addr ~plan ~repoll ~tracked =
     let obs = Server.obs engine in
-    { f_server = server;
+    { f_tx = tx;
       f_engine = engine;
       f_self = self_addr;
       f_plan = plan;
+      f_repoll = repoll;
       f_tracked = tracked;
-      f_peers = Hashtbl.create 4;
       f_inflight = Hashtbl.create 16;
-      f_buf = Bytes.create 65_536;
       m_fetch_out = Obs.counter obs "peer.fetch.out";
       m_coalesced = Obs.counter obs "fetch.coalesced";
       m_inflight = Obs.gauge obs "fetch.inflight" }
-
-  let peer_of f addr =
-    match Hashtbl.find_opt f.f_peers addr with
-    | Some p -> p
-    | None ->
-      let p =
-        { p_addr = addr; p_fd = None; p_connecting = false;
-          p_decoder = Frame.decoder (); p_out = Buffer.create 256;
-          p_flights = Queue.create (); p_down_until = neg_infinity }
-      in
-      Hashtbl.add f.f_peers addr p;
-      p
 
   let complete_waiter w ~ok =
     if not ok then w.w_failed <- true;
@@ -173,179 +104,59 @@ module Fetcher = struct
     fl.fl_waiters <- [];
     List.iter (fun w -> complete_waiter w ~ok) ws
 
-  (* Queue [fl] on its next candidate not sitting out a backoff (the
-     replica-then-home fallthrough); the peer to flush, or [None] once
-     every candidate is spent and the flight has failed. *)
+  (* Send [fl] to its next candidate (the replica-then-home
+     fallthrough); once every candidate is spent, fail it — or, if one
+     refused, let the waiters re-plan when a re-poll moved the epoch. *)
   let rec issue f fl =
     match fl.fl_cands with
     | [] ->
-      complete_flight f fl ~ok:false;
-      None
+      if fl.fl_refused then f.f_repoll (fun moved -> complete_flight f fl ~ok:moved)
+      else complete_flight f fl ~ok:false
     | addr :: rest ->
       fl.fl_cands <- rest;
-      let peer = peer_of f addr in
-      if peer.p_fd = None && Unix.gettimeofday () < peer.p_down_until then issue f fl
-      else begin
-        Obs.Counter.incr f.m_fetch_out;
-        Queue.add fl peer.p_flights;
-        let table, lo, hi = fl.fl_key in
-        Buffer.add_string peer.p_out
-          (Net_client.encode_request_frame
-             (Message.Fetch { table; lo; hi; subscriber = f.f_self }));
-        Some peer
-      end
-
-  let rec write_some fd data pos len =
-    if pos >= len then pos
-    else
-      match Unix.write_substring fd data pos (len - pos) with
-      | n -> write_some fd data (pos + n) len
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_some fd data pos len
-      | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> pos
-
-  let sockaddr_of addr =
-    let host, port = Net_server.split_addr addr in
-    let inet =
-      match Unix.inet_addr_of_string host with
-      | a -> a
-      | exception _ -> (
-        match (Unix.gethostbyname host).Unix.h_addr_list with
-        | [||] -> raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host))
-        | addrs -> addrs.(0)
-        | exception Not_found ->
-          raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host)))
-    in
-    Unix.ADDR_INET (inet, port)
-
-  (* Tear a peer connection down: every fetch still in its pipeline
-     moves on to its next candidate, or fails (their parked scans answer
-     Error and the client may retry), and the peer sits out a short
-     backoff so a dead home is one failed [connect] per half second, not
-     per scan. *)
-  let rec fail_peer f peer msg =
-    if not (Queue.is_empty peer.p_flights) then
-      Log.warn (fun m ->
-          m "peer %s: %s; %d in-flight fetches move on" peer.p_addr msg
-            (Queue.length peer.p_flights));
-    (match peer.p_fd with
-    | Some fd ->
-      peer.p_fd <- None;
-      Net_server.unwatch_fd f.f_server fd;
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-    | None -> ());
-    peer.p_connecting <- false;
-    peer.p_decoder <- Frame.decoder ();
-    Buffer.clear peer.p_out;
-    peer.p_down_until <- Unix.gettimeofday () +. 0.5;
-    let flights = List.of_seq (Queue.to_seq peer.p_flights) in
-    Queue.clear peer.p_flights;
-    List.iter (retry f) flights
-
-  and retry f fl =
-    match issue f fl with
-    | Some peer ->
-      ensure_connected f peer;
-      flush_peer f peer
-    | None -> ()
-
-  (* Nonblocking flush; write interest stays on exactly while bytes
-     remain buffered (a level-triggered poller would spin otherwise). *)
-  and flush_peer f peer =
-    match peer.p_fd with
-    | None -> ()
-    | Some _ when peer.p_connecting -> ()
-    | Some fd -> (
-      let data = Buffer.contents peer.p_out in
-      Buffer.clear peer.p_out;
-      let len = String.length data in
-      match write_some fd data 0 len with
-      | pos ->
-        if pos < len then begin
-          Buffer.add_substring peer.p_out data pos (len - pos);
-          Net_server.watch_interest f.f_server fd ~read:true ~write:true
-        end
-        else Net_server.watch_interest f.f_server fd ~read:true ~write:false
-      | exception Unix.Unix_error (err, _, _) ->
-        fail_peer f peer ("write: " ^ Unix.error_message err))
-
-  (* one response frame = the head of this peer's pipeline *)
-  and handle_frame f peer frame =
-    match Queue.take_opt peer.p_flights with
-    | None -> fail_peer f peer "unexpected frame with no fetch in flight"
-    | Some fl -> (
+      Obs.Counter.incr f.m_fetch_out;
       let table, lo, hi = fl.fl_key in
-      let refused why =
-        Log.warn (fun m -> m "fetch %s[%s,%s) from %s: %s" table lo hi peer.p_addr why);
-        retry f fl
-      in
-      match Message.decode_response frame with
-      | Message.Subscribed { stamp; pairs } ->
-        Hashtbl.replace f.f_tracked fl.fl_key peer.p_addr;
-        Server.feed_base f.f_engine ~table ~lo ~hi pairs;
-        if stamp > 0 then Server.set_range_stamp f.f_engine ~table ~lo ~hi stamp;
-        complete_flight f fl ~ok:true
-      | Message.Error msg -> refused ("refused: " ^ msg)
-      | _ -> refused "unexpected response"
-      | exception Message.Protocol_error msg -> refused ("protocol error: " ^ msg))
+      Peers.call f.f_tx ~timeout:Peers.fetch_timeout addr
+        (Message.Fetch { table; lo; hi; subscriber = f.f_self })
+        (fun reply ->
+          let move_on why =
+            Log.warn (fun m -> m "fetch %s[%s,%s) from %s: %s" table lo hi addr why);
+            issue f fl
+          in
+          match reply with
+          | Ok (Message.Subscribed { stamp; pairs }) ->
+            Hashtbl.replace f.f_tracked fl.fl_key addr;
+            Server.feed_base f.f_engine ~table ~lo ~hi pairs;
+            (* record the snapshot's version: stamped reads compare
+               their demand against it *)
+            if stamp > 0 then Server.set_range_stamp f.f_engine ~table ~lo ~hi stamp;
+            complete_flight f fl ~ok:true
+          | Ok (Message.Error msg) ->
+            fl.fl_refused <- true;
+            move_on ("refused: " ^ msg)
+          | Ok _ -> move_on "unexpected response"
+          | Error msg -> move_on msg)
 
-  and read_peer f peer fd =
-    match Unix.read fd f.f_buf 0 (Bytes.length f.f_buf) with
-    | 0 -> fail_peer f peer "connection closed"
-    | n ->
-      List.iter
-        (fun frame ->
-          (* a completion may tear this peer down re-entrantly (its own
-             parked-scan retry failing it); later frames are then stale *)
-          if peer.p_fd = Some fd then handle_frame f peer frame)
-        (Frame.feed peer.p_decoder (Bytes.sub_string f.f_buf 0 n))
-    | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-      -> ()
-    | exception Unix.Unix_error (err, _, _) ->
-      fail_peer f peer ("read: " ^ Unix.error_message err)
+  (* fetch one clamp from [cands] on behalf of [waiter], joining the
+     flight already under way for it *)
+  let fetch f (table, lo, hi) cands waiter =
+    let key = (table, lo, hi) in
+    match Hashtbl.find_opt f.f_inflight key with
+    | Some fl ->
+      (* single-flight: share the wire fetch already under way *)
+      Obs.Counter.incr f.m_coalesced;
+      fl.fl_waiters <- waiter :: fl.fl_waiters
+    | None ->
+      let fl = { fl_key = key; fl_waiters = [ waiter ]; fl_cands = cands; fl_refused = false } in
+      Hashtbl.replace f.f_inflight key fl;
+      Obs.Gauge.set f.m_inflight (Hashtbl.length f.f_inflight);
+      issue f fl
 
-  and peer_ready f peer fd ~readable ~writable =
-    if peer.p_fd = Some fd then begin
-      if writable then
-        if peer.p_connecting then (
-          match Unix.getsockopt_error fd with
-          | Some err -> fail_peer f peer ("connect: " ^ Unix.error_message err)
-          | None ->
-            peer.p_connecting <- false;
-            (try Unix.setsockopt fd Unix.TCP_NODELAY true
-             with Unix.Unix_error _ -> ());
-            flush_peer f peer)
-        else flush_peer f peer;
-      if readable && peer.p_fd = Some fd then read_peer f peer fd
-    end
+  let waiter n k = { w_remaining = n; w_failed = false; w_k = k }
 
-  and ensure_connected f peer =
-    if peer.p_fd = None then begin
-      match
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try Unix.set_nonblock fd
-         with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-        (fd, (try Unix.connect fd (sockaddr_of peer.p_addr); `Done with
-              | Unix.Unix_error (Unix.EINPROGRESS, _, _) -> `Pending
-              | e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e))
-      with
-      | fd, how ->
-        if how = `Done then
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-        peer.p_fd <- Some fd;
-        peer.p_connecting <- how = `Pending;
-        peer.p_decoder <- Frame.decoder ();
-        (* while connecting, write-ready signals the outcome (SO_ERROR) *)
-        Net_server.watch_fd f.f_server fd ~read:true ~write:peer.p_connecting
-          ~on_ready:(fun ~readable ~writable -> peer_ready f peer fd ~readable ~writable)
-      | exception Unix.Unix_error (err, _, _) ->
-        fail_peer f peer ("connect: " ^ Unix.error_message err)
-    end
-
-  (* The [Net_server.set_fetcher] entry point: issue one parked scan's
+  (* The [Net_server.set_fetcher] entry point: issue one parked read's
      whole missing-range set, calling [k ~ok] once every clamp has
-     landed (or any failed). Completion may run synchronously — every
-     candidate of a clamp down — or later from [peer_ready]; the caller
-     handles both. *)
+     landed (or any failed). An unplannable set completes at once. *)
   let request f ranges k =
     let planned =
       List.fold_left
@@ -356,7 +167,7 @@ module Fetcher = struct
             match f.f_plan ~table ~lo ~hi with
             | `Fail -> `Fail
             | `Nothing ->
-              (* the placement moved under the scan (directory epoch):
+              (* the placement moved under the read (directory epoch):
                  nothing to fetch; the retry re-plans *)
               `Ok clamps
             | `Clamps cs -> `Ok (List.rev_append cs clamps)))
@@ -366,31 +177,8 @@ module Fetcher = struct
     | `Fail -> k ~ok:false
     | `Ok [] -> k ~ok:true
     | `Ok clamps ->
-      let waiter = { w_remaining = List.length clamps; w_failed = false; w_k = k } in
-      let touched = ref [] in
-      List.iter
-        (fun (table, flo, fhi, cands) ->
-          let key = (table, flo, fhi) in
-          match Hashtbl.find_opt f.f_inflight key with
-          | Some fl ->
-            (* single-flight: share the wire fetch already under way *)
-            Obs.Counter.incr f.m_coalesced;
-            fl.fl_waiters <- waiter :: fl.fl_waiters
-          | None -> (
-            let fl = { fl_key = key; fl_waiters = [ waiter ]; fl_cands = cands } in
-            Hashtbl.replace f.f_inflight key fl;
-            Obs.Gauge.set f.m_inflight (Hashtbl.length f.f_inflight);
-            match issue f fl with
-            | Some peer -> if not (List.memq peer !touched) then touched := peer :: !touched
-            | None -> ()))
-        clamps;
-      (* one burst per touched peer: connect if needed, then push the
-         whole pipeline out in as few writes as the socket allows *)
-      List.iter
-        (fun peer ->
-          ensure_connected f peer;
-          flush_peer f peer)
-        (List.rev !touched)
+      let w = waiter (List.length clamps) k in
+      List.iter (fun (table, lo, hi, cands) -> fetch f (table, lo, hi) cands w) clamps
 end
 
 (* ------------------------------------------------------------------ *)
@@ -403,18 +191,16 @@ module Config = struct
     dir : Directory.t;
     seed : string option;
     poll_every : float;
-    server : Net_server.t option;
+    server : Net_server.t;
     check_every : float;
-    on_wait : (unit -> unit) option;
   }
 
-  let make ?(check_every = 2.0) ?(poll_every = 1.0) ?seed ?on_wait ?server ~engine ~self_addr
-      dir =
-    { engine; self_addr; dir; seed; poll_every; server; check_every; on_wait }
+  let make ?(check_every = 2.0) ?(poll_every = 1.0) ?seed ~server ~engine ~self_addr dir =
+    { engine; self_addr; dir; seed; poll_every; server; check_every }
 end
 
 let attach (cfg : Config.t) =
-  let { Config.engine; self_addr = self; dir; _ } = cfg in
+  let { Config.engine; self_addr = self; dir; server; _ } = cfg in
   (* ranges homed here, marked present; wildcard slices cannot be
      (no concrete table): they resolve [`Fetch []] -> Local instead *)
   let owned () =
@@ -430,15 +216,12 @@ let attach (cfg : Config.t) =
     && List.for_all
          (fun (e : Directory.entry) -> String.equal e.Message.de_home self)
          (Directory.entries dir)
-  then begin
+  then
     (* nothing is homed elsewhere: no resolver, no fetcher, no tick *)
-    List.iter (fun (table, lo, hi) -> Server.mark_present engine ~table ~lo ~hi) (owned ());
-    fun () -> ()
-  end
+    List.iter (fun (table, lo, hi) -> Server.mark_present engine ~table ~lo ~hi) (owned ())
   else begin
     let obs = Server.obs engine in
-    let client_for = client_cache ?on_wait:cfg.Config.on_wait obs in
-    let m_fetch_out = Obs.counter obs "peer.fetch.out" in
+    let tx = Net_server.transport server in
     let m_sub_lost = Obs.counter obs "peer.sub.lost" in
     let m_epoch = Obs.gauge obs "dir.epoch" in
     (* live subscriptions this server believes it holds: exactly the
@@ -446,7 +229,6 @@ let attach (cfg : Config.t) =
        that granted them. The healing heartbeat audits this against that
        server's own Sub_check answer. *)
     let tracked : (string * string * string, string) Hashtbl.t = Hashtbl.create 16 in
-    let fetch_one = fetch_one ~engine ~client_for ~tracked ~m_fetch_out ~self_addr:self in
     let is_sink table =
       List.exists
         (fun spec -> String.equal (Joinspec.output_table spec) table)
@@ -470,69 +252,24 @@ let attach (cfg : Config.t) =
                (fun (e, flo, fhi) -> (table, flo, fhi, Directory.candidates e ~self))
                cs)
     in
-    (* asynchronous read path: the fetch engine on the serving loop *)
-    let fetcher =
-      Option.map
-        (fun server ->
-          let f =
-            Fetcher.create ~server ~engine ~self_addr:self ~tracked
-              ~plan:(fun ~table ~lo ~hi ->
-                match clamps ~table ~lo ~hi with
-                | `Local -> `Nothing
-                | `Wait | `Gap -> `Fail
-                | `Fetch cs -> `Clamps cs)
-          in
-          Net_server.set_fetcher server (Fetcher.request f);
-          f)
-        cfg.Config.server
-    in
-    Server.set_resolver engine (fun ~table ~lo ~hi ->
-        match clamps ~table ~lo ~hi with
-        | `Local -> Server.Local
-        | `Wait ->
-          (* no directory yet: resolving [Local] here would mark the
-             range present and freeze it empty; defer until an epoch *)
-          Server.Deferred
-        | `Gap ->
-          (* surface the misconfiguration instead of serving the gap as
-             present-and-empty: the scan reports the range missing *)
-          Log.warn (fun m ->
-              m "the placement leaves a gap inside %s[%s,%s); check the partition specs"
-                table lo hi);
-          Server.Deferred
-        | `Fetch _ when Option.is_some fetcher && Server.collecting engine ->
-          (* collect-mode scan under an asynchronous host: report the
-             miss and keep collecting; the host parks the scan and the
-             fetcher issues the whole missing set as one burst *)
-          Server.Deferred
-        | `Fetch cs ->
-          (* blocking path (no async host, or a caller with no retry
-             loop above it — an updater firing inside a feed_base, a
-             bare scan/get): fetch each clamp inline, falling through its
-             candidates; all must answer for the range to resolve *)
-          let rec fetch acc = function
-            | [] -> Server.Resolved (List.concat (List.rev acc))
-            | (table, flo, fhi, cands) :: rest -> (
-              match List.find_map (fetch_one ~table ~lo:flo ~hi:fhi) cands with
-              | Some pairs -> fetch (pairs :: acc) rest
-              | None -> Server.Deferred)
-          in
-          fetch [] cs);
     (* replica duty waiting to be established: (table, lo, hi, home)
        ranges this server replicates but has not fetch+subscribed yet,
        retried every second until the home answers *)
     let warm_pending = ref [] in
+    let fetcher = ref None in
     let warm_replicas () =
-      warm_pending :=
-        List.filter
-          (fun (table, lo, hi, home) ->
-            match fetch_one ~table ~lo ~hi home with
-            | Some pairs ->
-              Server.feed_base engine ~table ~lo ~hi pairs;
-              Log.info (fun m -> m "replicating %s[%s,%s) from %s" table lo hi home);
-              false
-            | None -> true)
-          !warm_pending
+      Option.iter
+        (fun f ->
+          List.iter
+            (fun ((table, lo, hi, home) as w) ->
+              Fetcher.fetch f (table, lo, hi) [ home ]
+                (Fetcher.waiter 1 (fun ~ok ->
+                     if ok then begin
+                       Log.info (fun m -> m "replicating %s[%s,%s) from %s" table lo hi home);
+                       warm_pending := List.filter (fun w' -> w' <> w) !warm_pending
+                     end)))
+            !warm_pending)
+        !fetcher
     in
     (* bring this server in line with the placement's current version:
        adjust owned presence, drop subscriptions whose granting server
@@ -589,61 +326,80 @@ let attach (cfg : Config.t) =
           (Directory.entries dir);
       warm_replicas ()
     in
-    if Directory.epoch dir > 0 then apply ();
-    (* follower poll: a dedicated short-fuse client, so a dead seed costs
-       the tick half a second, not the full fetch retry budget *)
-    let poll =
-      match cfg.Config.seed with
-      | None -> fun _ -> () (* the seed, or pinned: nothing to poll *)
-      | Some seed_addr ->
-        let m_dir_fetch = Obs.counter obs "dir.fetch" in
-        let poll_client =
-          client_cache
-            ~config:
-              { Net_client.connect_timeout = 0.5; call_timeout = 2.0; max_retries = 0;
-                backoff = 0.05 }
-            ?on_wait:cfg.Config.on_wait obs seed_addr
-        in
-        let last_poll = ref neg_infinity in
-        fun now ->
-          if now -. !last_poll >= cfg.Config.poll_every then begin
-            last_poll := now;
-            match
-              Net_client.call poll_client (Message.Dir_watch { epoch = Directory.epoch dir })
-            with
-            | Message.Dir_state { epoch; entries } ->
+    let sync () = if Directory.epoch dir > !applied then apply () in
+    (* Ask the seed for a newer directory ([Dir_watch]); [k] learns
+       whether one installed. Concurrent asks share one call. A server
+       with no seed (the seed itself, or a pinned placement) already
+       holds the current version. *)
+    let polling = ref None in
+    let m_dir_fetch = Obs.counter obs "dir.fetch" in
+    let repoll k =
+      match (cfg.Config.seed, !polling) with
+      | None, _ -> k false
+      | Some _, Some ks -> polling := Some (k :: ks)
+      | Some seed_addr, None ->
+        polling := Some [ k ];
+        let before = Directory.epoch dir in
+        Peers.call tx ~timeout:Peers.heal_timeout seed_addr
+          (Message.Dir_watch { epoch = before })
+          (fun reply ->
+            (match reply with
+            | Ok (Message.Dir_state { epoch; entries }) ->
               Obs.Counter.incr m_dir_fetch;
               (* a migration flip pushed to this server can race the
                  poll: an answer at-or-below the installed epoch is just
                  old news *)
               if epoch > Directory.epoch dir then (
                 match Directory.install dir ~epoch ~entries with
-                | Ok () -> ()
+                | Ok () -> sync ()
                 | Error msg ->
                   Log.warn (fun m -> m "directory update from seed rejected: %s" msg))
-            | Message.Done -> Obs.Counter.incr m_dir_fetch (* unchanged *)
-            | Message.Error msg ->
+            | Ok Message.Done -> Obs.Counter.incr m_dir_fetch (* unchanged *)
+            | Ok (Message.Error msg) ->
               Log.warn (fun m -> m "seed %s refused Dir_watch: %s" seed_addr msg)
-            | _ -> ()
-            | exception Net_client.Net_error msg ->
-              Log.debug (fun m -> m "directory seed %s unreachable: %s" seed_addr msg)
-          end
+            | Ok _ -> ()
+            | Error msg ->
+              Log.debug (fun m -> m "directory seed %s unreachable: %s" seed_addr msg));
+            let ks = Option.value ~default:[] !polling in
+            polling := None;
+            let moved = Directory.epoch dir > before in
+            List.iter (fun k -> k moved) (List.rev ks))
     in
-    (* A subscription the granting server no longer holds (a failed push
-       while we were blocked or down, a restart) is refetched: the fresh
-       snapshot goes through [feed_base], which reconciles the data and
-       re-fires the updaters — join output computed from the frozen copy
-       is repaired too — and the [Fetch] re-subscribes. Only a failed
-       refetch (owner unreachable) un-marks the range, so the next scan
-       goes back through the resolver. *)
-    let refetch ((table, lo, hi) as key) addr =
-      let unmark () = Server.unmark_present engine ~table ~lo ~hi in
-      match fetcher with
-      | Some f -> Fetcher.request f [ key ] (fun ~ok -> if not ok then unmark ())
-      | None -> (
-        match fetch_one ~table ~lo ~hi addr with
-        | Some pairs -> Server.feed_base engine ~table ~lo ~hi pairs
-        | None -> unmark ())
+    let f =
+      Fetcher.create ~tx ~engine ~self_addr:self ~tracked ~repoll
+        ~plan:(fun ~table ~lo ~hi ->
+          match clamps ~table ~lo ~hi with
+          | `Local -> `Nothing
+          | `Wait | `Gap -> `Fail
+          | `Fetch cs -> `Clamps cs)
+    in
+    fetcher := Some f;
+    Net_server.set_fetcher server (Fetcher.request f);
+    (* The resolver never fetches: a range homed elsewhere answers
+       [Deferred], and the read that missed it parks on the fetcher *)
+    Server.set_resolver engine (fun ~table ~lo ~hi ->
+        match clamps ~table ~lo ~hi with
+        | `Local -> Server.Local
+        | `Gap ->
+          (* surface the misconfiguration instead of serving the gap as
+             present-and-empty: the read reports the range missing *)
+          Log.warn (fun m ->
+              m "the placement leaves a gap inside %s[%s,%s); check the partition specs"
+                table lo hi);
+          Server.Deferred
+        | `Wait (* no directory yet: [Local] would freeze the range empty *) | `Fetch _ ->
+          Server.Deferred);
+    if Directory.epoch dir > 0 then apply ();
+    (* A subscription the granting server no longer holds (a failed push,
+       a restart) is refetched: the fresh snapshot goes through
+       [feed_base], which reconciles the data and re-fires the updaters —
+       join output computed from the frozen copy is repaired too — and
+       the [Fetch] re-subscribes. Only a failed refetch (owner
+       unreachable) un-marks the range, so the next read goes back
+       through the resolver. *)
+    let refetch ((table, lo, hi) as key) =
+      Fetcher.request f [ key ] (fun ~ok ->
+          if not ok then Server.unmark_present engine ~table ~lo ~hi)
     in
     (* The healing heartbeat: every [check_every] seconds ask each
        granting server which of our subscriptions it still holds.
@@ -661,42 +417,48 @@ let attach (cfg : Config.t) =
           tracked;
         Hashtbl.iter
           (fun addr keys ->
-            match
-              Net_client.call ~timeout:2.0 (client_for addr)
-                (Message.Sub_check { subscriber = self })
-            with
-            | Message.Sub_ranges live ->
-              (* hash the answer: a compute tracks one range per fetched
-                 timeline piece, so [keys] and [live] both grow with the
-                 working set and a List.mem join is quadratic *)
-              let live_set = Hashtbl.create (1 + List.length live) in
-              List.iter (fun k -> Hashtbl.replace live_set k ()) live;
-              List.iter
-                (fun ((table, lo, hi) as key) ->
-                  if not (Hashtbl.mem live_set key) then begin
-                    Obs.Counter.force_add m_sub_lost 1;
-                    Log.warn (fun m ->
-                        m "subscription %s[%s,%s) lost at %s; refetching" table lo hi addr);
-                    Hashtbl.remove tracked key;
-                    refetch key addr
-                  end)
-                keys
-            | _ -> ()
-            | exception Net_client.Net_error _ ->
-              (* unreachable: scans surface it; the next heartbeat
-                 retries once it returns *)
-              ())
+            Peers.call tx ~timeout:Peers.heal_timeout addr
+              (Message.Sub_check { subscriber = self })
+              (function
+                | Ok (Message.Sub_ranges live) ->
+                  (* hash the answer: a compute tracks one range per
+                     fetched timeline piece, so [keys] and [live] both
+                     grow with the working set and a List.mem join is
+                     quadratic *)
+                  let live_set = Hashtbl.create (1 + List.length live) in
+                  List.iter (fun k -> Hashtbl.replace live_set k ()) live;
+                  List.iter
+                    (fun ((table, lo, hi) as key) ->
+                      if
+                        Hashtbl.find_opt tracked key = Some addr
+                        && not (Hashtbl.mem live_set key)
+                      then begin
+                        Obs.Counter.force_add m_sub_lost 1;
+                        Log.warn (fun m ->
+                            m "subscription %s[%s,%s) lost at %s; refetching" table lo hi addr);
+                        Hashtbl.remove tracked key;
+                        refetch key
+                      end)
+                    keys
+                | _ ->
+                  (* unreachable: reads surface it; the next heartbeat
+                     retries once it returns *)
+                  ()))
           by_addr
       end
     in
+    let last_poll = ref neg_infinity in
     let last_warm = ref neg_infinity in
-    fun () ->
-      let now = Unix.gettimeofday () in
-      poll now;
-      if Directory.epoch dir > !applied then apply ();
-      if !warm_pending <> [] && now -. !last_warm >= 1.0 then begin
-        last_warm := now;
-        warm_replicas ()
-      end;
-      heal now
+    Net_server.add_ticker server (fun () ->
+        let now = Unix.gettimeofday () in
+        if now -. !last_poll >= cfg.Config.poll_every then begin
+          last_poll := now;
+          repoll ignore
+        end;
+        sync ();
+        if !warm_pending <> [] && now -. !last_warm >= 1.0 then begin
+          last_warm := now;
+          warm_replicas ()
+        end;
+        heal now)
   end

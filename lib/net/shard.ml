@@ -15,11 +15,10 @@
    once, fresh by push. Join outputs are computed by the shard owning
    their slice, from subscription-fresh sources.
 
-   Deadlock-freedom: sibling calls are symmetric (A can fetch from B
-   while B forwards to A), so a shard never blocks dead on a sibling —
-   while waiting for a sibling's response it keeps serving its own
-   internal traffic through nested event-loop steps (the Net_client
-   [on_wait] hook; see Net_server.step). *)
+   Sibling calls are symmetric (A can fetch from B while B forwards to
+   A), and none of them blocks: every exchange goes through the shard
+   loop's own transport and completes by callback (see peers.mli), so
+   a ring of shards waiting on each other keeps serving. *)
 
 module Server = Pequod_core.Server
 module Config = Pequod_core.Config
@@ -173,23 +172,9 @@ let create ?config ?backend ?metrics_every ?(sub_check_every = 2.0)
         let engine = Net_server.engine srv in
         let self_addr = addr i in
         Net_server.set_directory srv ~dir ~self_addr ();
-        Net_server.set_shard srv ~stats:(fun () ->
-            merge_stats
-              (List.mapi
-                 (fun j a ->
-                   if j = i then (j, Server.metrics_snapshot engine)
-                   else
-                     match Net_server.call_peer srv a Message.Stats_full with
-                     | Message.Metrics m -> (j, m)
-                     | _ -> (j, [])
-                     | exception Net_client.Net_error msg ->
-                       Log.warn (fun m -> m "stats from shard %d failed: %s" j msg);
-                       (j, []))
-                 addrs));
-        Net_server.add_ticker srv
-          (Remote.attach
-             (Remote.Config.make ~check_every:sub_check_every
-                ~on_wait:(Net_server.on_wait srv) ~server:srv ~engine ~self_addr dir)))
+        Net_server.set_shard srv ~shards:addrs ~merge:merge_stats;
+        Remote.attach
+          (Remote.Config.make ~check_every:sub_check_every ~server:srv ~engine ~self_addr dir))
       servers
   end;
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

@@ -1,7 +1,7 @@
-(* The asynchronous remote read path (Remote.attach ~server): parked
-   scans, fan-out fetch batching, and single-flight coalescing, driven
-   over real TCP sockets in one process with manually-stepped event
-   loops — a home server and a compute server whose scans miss. *)
+(* The asynchronous remote read path (Remote.attach): parked scans,
+   fan-out fetch batching, and single-flight coalescing, driven over
+   real TCP sockets in one process with manually-stepped event loops —
+   a home server and a compute server whose scans miss. *)
 
 module Net_server = Pequod_server_lib.Net_server
 module Remote = Pequod_server_lib.Remote
@@ -9,6 +9,7 @@ module Directory = Pequod_server_lib.Directory
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
 module Frame = Pequod_proto.Frame
+module Oracle = Pequod_oracle.Oracle
 (* Rng comes unwrapped from pequod_util *)
 
 let check_bool = Alcotest.(check bool)
@@ -112,10 +113,8 @@ let test_single_flight ~directory () =
       dir
     end
   in
-  let _heal =
-    Remote.attach
-      (Remote.Config.make ~server:compute ~engine:(Net_server.engine compute) ~self_addr dir)
-  in
+  Remote.attach
+    (Remote.Config.make ~server:compute ~engine:(Net_server.engine compute) ~self_addr dir);
   let fd = connect compute in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   let n = 5 in
@@ -139,17 +138,32 @@ let test_single_flight ~directory () =
 (* A parked scan whose home is unreachable answers Error without
    wedging the connection: requests pipelined behind it still answer,
    in order, and the connection stays usable afterwards. The timeline
-   join's check source (s|) is routed to an address nothing listens on,
-   so the scan parks and its burst fetch fails fast. *)
-let test_park_failure () =
+   join's check source (s|) is routed to [home], so the scan parks and
+   its burst fetch fails — at once where nothing listens, at the fetch
+   deadline where a home accepts but never answers. *)
+let test_park_failure ~home () =
   with_server ~joins:[ timeline_join ] @@ fun compute ->
-  (* port 9 on loopback: nothing listens; connect is refused at once *)
-  let dir = pinned ~peers:[] ~self:(addr_of compute) [ "s@127.0.0.1:9"; "p@127.0.0.1:9" ] in
-  let _heal =
-    Remote.attach
-      (Remote.Config.make ~server:compute ~engine:(Net_server.engine compute)
-         ~self_addr:(addr_of compute) dir)
+  let home_addr, close_home =
+    match home with
+    | `Refused ->
+      (* port 9 on loopback: nothing listens; connect is refused at once *)
+      ("127.0.0.1:9", ignore)
+    | `Silent ->
+      (* listens, so connects complete in the kernel, but never accepts
+         or reads: no answer ever comes *)
+      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen sock 8;
+      let port = match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+      (Printf.sprintf "127.0.0.1:%d" port, fun () -> Unix.close sock)
   in
+  Fun.protect ~finally:close_home @@ fun () ->
+  let dir =
+    pinned ~peers:[] ~self:(addr_of compute) [ "s@" ^ home_addr; "p@" ^ home_addr ]
+  in
+  Remote.attach
+    (Remote.Config.make ~server:compute ~engine:(Net_server.engine compute)
+       ~self_addr:(addr_of compute) dir);
   let fd = connect compute in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   let servers = [ compute ] in
@@ -177,14 +191,14 @@ let test_park_failure () =
   check_bool "failed scan parked" true (counter compute "scan.parked" >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* async == sync equivalence                                           *)
+(* async == oracle                                                     *)
 
 let users = [| "ann"; "bob"; "cat"; "dan"; "eve" |]
 
-(* One random interleaving of home writes and compute timeline reads,
-   identical for both modes at the same seed: returns the raw wire
-   response frames of every compute request, in order. *)
-let run_transcript ~async seed =
+(* One random interleaving of home writes and compute timeline reads:
+   every compute response must equal the timeline the oracle computes
+   from scratch over the same writes. *)
+let check_transcript seed =
   with_server ~joins:[] @@ fun home ->
   with_server ~joins:[ timeline_join ] @@ fun compute ->
   let h = Net_server.engine home in
@@ -192,17 +206,13 @@ let run_transcript ~async seed =
   Server.mark_present h ~table:"p" ~lo:"p|" ~hi:"p}";
   let dir = pinned ~peers:[ addr_of home ] ~self:(addr_of compute) [ "s"; "p" ] in
   let servers = [ compute; home ] in
-  let on_wait () = Net_server.step ~timeout:0.001 home in
-  let _heal =
-    if async then
-      Remote.attach
-        (Remote.Config.make ~server:compute ~on_wait
-           ~engine:(Net_server.engine compute) ~self_addr:(addr_of compute) dir)
-    else
-      Remote.attach
-        (Remote.Config.make ~on_wait ~engine:(Net_server.engine compute)
-           ~self_addr:(addr_of compute) dir)
-  in
+  Remote.attach
+    (Remote.Config.make ~server:compute ~engine:(Net_server.engine compute)
+       ~self_addr:(addr_of compute) dir);
+  let oracle = Oracle.create () in
+  (match Oracle.add_join_text oracle timeline_join with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
   let hfd = connect home in
   let cfd = connect compute in
   Fun.protect
@@ -211,56 +221,50 @@ let run_transcript ~async seed =
       Unix.close cfd)
   @@ fun () ->
   let rng = Rng.create seed in
-  let transcript = ref [] in
-  let read_compute reqs =
-    transcript := !transcript @ pipeline_raw ~servers cfd reqs
+  let reads = ref 0 in
+  let write req =
+    ignore (rpc ~servers hfd req);
+    (match req with
+    | Message.Put (k, v) -> Oracle.put oracle k v
+    | Message.Remove k -> Oracle.remove oracle k
+    | _ -> ());
+    settle servers
   in
+  let read_compute ranges =
+    let expected =
+      List.map (fun (lo, hi) -> Message.Pairs (Oracle.scan oracle ~lo ~hi)) ranges
+    in
+    let frames =
+      pipeline_raw ~servers cfd (List.map (fun (lo, hi) -> Message.Scan { lo; hi }) ranges)
+    in
+    List.iter2
+      (fun want frame ->
+        incr reads;
+        if Message.decode_response frame <> want then
+          Alcotest.failf "seed %d: read %d differs from the oracle" seed !reads)
+      expected frames
+  in
+  let timeline u = ("t|" ^ u ^ "|", "t|" ^ u ^ "}") in
   for _ = 1 to 40 do
     match Rng.int rng 100 with
     | n when n < 25 ->
-      let k = Printf.sprintf "s|%s|%s" (Rng.pick rng users) (Rng.pick rng users) in
-      ignore (rpc ~servers hfd (Message.Put (k, "1")));
-      settle servers
+      write
+        (Message.Put (Printf.sprintf "s|%s|%s" (Rng.pick rng users) (Rng.pick rng users), "1"))
     | n when n < 45 ->
-      let k =
-        Printf.sprintf "p|%s|%010d" (Rng.pick rng users) (Rng.int rng 50)
-      in
-      ignore (rpc ~servers hfd (Message.Put (k, Printf.sprintf "m%d" (Rng.int rng 10))));
-      settle servers
+      let k = Printf.sprintf "p|%s|%010d" (Rng.pick rng users) (Rng.int rng 50) in
+      write (Message.Put (k, Printf.sprintf "m%d" (Rng.int rng 10)))
     | n when n < 55 ->
-      let k = Printf.sprintf "s|%s|%s" (Rng.pick rng users) (Rng.pick rng users) in
-      ignore (rpc ~servers hfd (Message.Remove k));
-      settle servers
-    | n when n < 80 ->
-      let u = Rng.pick rng users in
-      read_compute [ Message.Scan { lo = "t|" ^ u ^ "|"; hi = "t|" ^ u ^ "}" } ]
+      write (Message.Remove (Printf.sprintf "s|%s|%s" (Rng.pick rng users) (Rng.pick rng users)))
+    | n when n < 80 -> read_compute [ timeline (Rng.pick rng users) ]
     | _ ->
       (* a pipelined burst of reads over several users: different
          parked scans in flight at once *)
-      read_compute
-        (List.init 3 (fun _ ->
-             let u = Rng.pick rng users in
-             Message.Scan { lo = "t|" ^ u ^ "|"; hi = "t|" ^ u ^ "}" }))
+      read_compute (List.init 3 (fun _ -> timeline (Rng.pick rng users)))
   done;
   (* final whole-table read *)
-  read_compute [ Message.Scan { lo = "t|"; hi = "t}" } ];
-  !transcript
+  read_compute [ ("t|", "t}") ]
 
-let test_equivalence () =
-  List.iter
-    (fun seed ->
-      let sync_t = run_transcript ~async:false seed in
-      let async_t = run_transcript ~async:true seed in
-      check_bool
-        (Printf.sprintf "seed %d: same transcript length" seed)
-        true
-        (List.length sync_t = List.length async_t);
-      List.iteri
-        (fun i (s, a) ->
-          if not (String.equal s a) then
-            Alcotest.failf "seed %d: response %d differs between sync and async" seed i)
-        (List.combine sync_t async_t))
-    [ 1; 7; 42; 1234 ]
+let test_oracle_transcripts () = List.iter check_transcript [ 1; 7; 42; 1234 ]
 
 let () =
   Alcotest.run "async"
@@ -271,7 +275,10 @@ let () =
             (test_single_flight ~directory:false);
           Alcotest.test_case "single-flight directory-routed" `Quick
             (test_single_flight ~directory:true);
-          Alcotest.test_case "parked failure keeps order" `Quick test_park_failure;
-          Alcotest.test_case "sync == async transcripts" `Quick test_equivalence;
+          Alcotest.test_case "parked failure keeps order" `Quick
+            (test_park_failure ~home:`Refused);
+          Alcotest.test_case "parked failure keeps order, silent home" `Quick
+            (test_park_failure ~home:`Silent);
+          Alcotest.test_case "async == oracle transcripts" `Quick test_oracle_transcripts;
         ] );
     ]

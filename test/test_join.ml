@@ -497,6 +497,47 @@ let test_deferred_resolver () =
   check_int "computed once" 1 (Server.counter s "exec.recompute_region");
   Server.validate s
 
+let test_deferred_eager_checks () =
+  (* eager checks under an asynchronous resolver: a new subscription's
+     insert would join the poster's posts at once, but their range is
+     missing and the resolver defers. The write must not raise: it logs
+     the change against the timeline, the next scan reports the range,
+     and after the feed the scan equals the blocking engine's *)
+  let db = [ ("p|bob|0100", "hello"); ("p|liz|0120", "liz here"); ("p|liz|0090", "early") ] in
+  let rows lo hi = List.filter (fun (k, _) -> Strkey.in_range ~lo ~hi k) db in
+  let config = Config.default () in
+  config.Config.lazy_checks <- false;
+  let pending = ref [] in
+  let s = make_twip ~config () in
+  Server.set_resolver s (fun ~table ~lo ~hi ->
+      if table <> "p" then Server.Local
+      else if String.starts_with ~prefix:"p|bob|" lo then Server.Resolved (rows lo hi)
+      else begin
+        pending := (table, lo, hi) :: !pending;
+        Server.Deferred
+      end);
+  subscribe s "ann" "bob";
+  let lo = "t|ann|" and hi = Strkey.prefix_upper "t|ann|" in
+  (match Server.scan_result s ~lo ~hi with
+  | `Ok pairs -> check_pairs "warm" [ ("t|ann|0100|bob", "hello") ] pairs
+  | `Missing _ -> Alcotest.fail "bob resolves inline");
+  (match subscribe s "ann" "liz" with
+  | () -> ()
+  | exception e -> Alcotest.failf "an eager check insert raised %s" (Printexc.to_string e));
+  (match Server.scan_result s ~lo ~hi with
+  | `Missing [ ("p", mlo, _) ] ->
+    check_bool "liz is the miss" true (String.starts_with ~prefix:"p|liz|" mlo)
+  | `Missing _ | `Ok _ -> Alcotest.fail "expected liz's range");
+  (match List.sort_uniq compare !pending with
+  | [ (table, flo, fhi) ] -> Server.feed_base s ~table ~lo:flo ~hi:fhi (rows flo fhi)
+  | _ -> Alcotest.fail "expected one deferred range");
+  let blocking = make_twip ~config () in
+  List.iter (fun (k, v) -> Server.put blocking k v) (("s|ann|bob", "1") :: ("s|ann|liz", "1") :: db);
+  (match Server.scan_result s ~lo ~hi with
+  | `Ok pairs -> check_pairs "retry == blocking engine" (timeline blocking "ann") pairs
+  | `Missing _ -> Alcotest.fail "should be resolved now");
+  Server.validate s
+
 let test_deferred_chained_probe () =
   (* the probe of a check join reaches the middle table's validate_range
      through ensure_source_ready; the middle region's own probe meets the
@@ -832,6 +873,7 @@ let () =
         [
           Alcotest.test_case "sync" `Quick test_sync_resolver;
           Alcotest.test_case "deferred" `Quick test_deferred_resolver;
+          Alcotest.test_case "deferred eager checks" `Quick test_deferred_eager_checks;
           Alcotest.test_case "deferred chained probe" `Quick test_deferred_chained_probe;
           Alcotest.test_case "deferred log replay" `Quick test_deferred_log_replay;
         ] );

@@ -218,35 +218,77 @@ let test_put_batch_pipelined () =
           | Message.Pairs [ ("t|ann|0000000100|bob", "a"); ("t|ann|0000000200|bob", "b") ] -> ()
           | _ -> Alcotest.fail "timeline after pipelined batches"))
 
-(* A push-mode client (handshake:false) never blocks on the Welcome:
-   its posts are applied while call/pipeline are rejected outright. The
-   server's own notification pushes rely on this to stay deadlock-free. *)
-let test_push_mode_client () =
+(* A subscriber that never reads its pushes must not stall the home:
+   pushes queue in the home's transport, so every write is still
+   acknowledged promptly, and once the output has made no progress for
+   the transport's stall deadline the subscriber is dropped. The
+   subscriber address listens but never accepts, so its socket buffers
+   fill and stay full. *)
+let test_push_never_blocks () =
   with_server ~joins:[] (fun t ->
-      let client =
-        Net_client.create ~handshake:false ~host:"127.0.0.1" ~port:(Net_server.port t) ()
+      Server.mark_present (Net_server.engine t) ~table:"s" ~lo:"s|" ~hi:"s}";
+      let sub = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.bind sub (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen sub 8;
+      let sub_addr =
+        match Unix.getsockname sub with
+        | Unix.ADDR_INET (_, p) -> Printf.sprintf "127.0.0.1:%d" p
+        | _ -> assert false
       in
+      let fd = connect t in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close fd;
+          Unix.close sub)
+        (fun () ->
+          (match
+             rpc t fd (Message.Fetch { table = "s"; lo = "s|"; hi = "s}"; subscriber = sub_addr })
+           with
+          | Message.Subscribed _ -> ()
+          | _ -> Alcotest.fail "fetch+subscribe");
+          let value = String.make 65_536 'x' in
+          (* 8 MiB of pushes, far past what the socket buffers hold *)
+          for i = 1 to 128 do
+            let t0 = Unix.gettimeofday () in
+            check_bool "write acked" true
+              (is_ack (rpc t fd (Message.Put (Printf.sprintf "s|k%03d" i, value))));
+            if Unix.gettimeofday () -. t0 > 1.0 then
+              Alcotest.failf "write %d took %.2fs behind a stalled subscriber" i
+                (Unix.gettimeofday () -. t0)
+          done;
+          let deadline = Unix.gettimeofday () +. 15.0 in
+          let rec dropped () =
+            match rpc t fd (Message.Sub_check { subscriber = sub_addr }) with
+            | Message.Sub_ranges [] -> ()
+            | _ ->
+              if Unix.gettimeofday () > deadline then
+                Alcotest.fail "stalled subscriber never dropped";
+              Net_server.step ~timeout:0.05 t;
+              dropped ()
+          in
+          dropped ();
+          check_bool "stall counted as a timeout" true
+            (Server.counter (Net_server.engine t) "net.client.timeouts" >= 1)))
+
+(* The blocking client refuses to run inside a server loop step: a
+   server reaches its peers only through its own transport. *)
+let test_blocking_call_refused () =
+  with_server ~joins:[] (fun t ->
+      let client = Net_client.create ~host:"127.0.0.1" ~port:(Net_server.port t) () in
+      let outcome = ref None in
+      Net_server.add_ticker t (fun () ->
+          if !outcome = None then
+            outcome :=
+              Some
+                (match Net_client.call client Message.Stats_full with
+                | _ -> "answered"
+                | exception Invalid_argument _ -> "refused"
+                | exception e -> Printexc.to_string e));
       Fun.protect
         ~finally:(fun () -> Net_client.close client)
         (fun () ->
-          (match Net_client.call client (Message.Get "k|a") with
-          | exception Invalid_argument _ -> ()
-          | _ -> Alcotest.fail "call on a push-mode client must be rejected");
-          (match Net_client.pipeline client [ Message.Get "k|a" ] with
-          | exception Invalid_argument _ -> ()
-          | _ -> Alcotest.fail "pipeline on a push-mode client must be rejected");
-          let posted k v =
-            Net_client.post client (Message.Notify_put (k, v));
-            let deadline = Unix.gettimeofday () +. 5.0 in
-            while Server.get (Net_server.engine t) k <> Some v do
-              if Unix.gettimeofday () > deadline then Alcotest.failf "push of %s not applied" k;
-              Net_server.step ~timeout:0.01 t
-            done
-          in
-          posted "k|a" "pushed";
-          (* the second post opportunistically drains the buffered
-             Welcome; the connection keeps working *)
-          posted "k|b" "again"))
+          Net_server.step ~timeout:0.0 t;
+          Alcotest.(check (option string)) "call inside a step" (Some "refused") !outcome))
 
 (* Refetching the same range as the same subscriber must reuse the live
    subscription entry, not stack a duplicate (finding: unbounded subs
@@ -377,7 +419,10 @@ let () =
           Alcotest.test_case "two clients" `Quick test_two_clients;
           Alcotest.test_case "garbage input" `Quick test_garbage_input;
           Alcotest.test_case "put_batch pipelined" `Quick test_put_batch_pipelined;
-          Alcotest.test_case "push-mode client" `Quick test_push_mode_client;
+          Alcotest.test_case "push to a stalled subscriber" `Quick
+            test_push_never_blocks;
+          Alcotest.test_case "blocking call inside a step refused" `Quick
+            test_blocking_call_refused;
           Alcotest.test_case "fetch dedup" `Quick test_fetch_dedup;
         ] );
       ( "routes",

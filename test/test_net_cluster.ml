@@ -477,6 +477,63 @@ let test_directory_heal () =
           | Error _ -> false);
       check_bool "loss detected and counted" true (counter_of compute "peer.sub.lost" >= 1))
 
+(* A follower compute whose poll is slow (--dir-poll-every 30) reads a
+   cold timeline over a range migrated a moment before: its fetch still
+   goes to the old home, which refuses it. The refusal makes the
+   fetcher re-poll the seed at once and re-plan against the new epoch,
+   so the read is served instead of failing until the next poll. *)
+let test_read_after_flip () =
+  let pids = ref [] in
+  let clients = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun c -> try Net_client.close c with _ -> ()) !clients;
+      List.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        !pids)
+    (fun () ->
+      let start args =
+        let pid, out = spawn args in
+        pids := pid :: !pids;
+        read_port out
+      in
+      let client port =
+        let c = Net_client.create ~host:"127.0.0.1" ~port () in
+        clients := c :: !clients;
+        c
+      in
+      (* the seed homes both tables; B follows it and takes p over *)
+      let port_a = start [ "--port"; "0"; "--dir-host"; "--partition"; "s"; "--partition"; "p" ] in
+      let addr_a = Printf.sprintf "127.0.0.1:%d" port_a in
+      let port_b = start [ "--port"; "0"; "--directory"; addr_a ] in
+      let addr_b = Printf.sprintf "127.0.0.1:%d" port_b in
+      let port_c =
+        start
+          [ "--port"; "0"; "--join"; timeline_join; "--directory"; addr_a;
+            "--dir-poll-every"; "30" ]
+      in
+      let home_a = client port_a in
+      let compute = client port_c in
+      poll ~timeout:10.0 ~what:"compute to adopt the directory" (fun () ->
+          fst (dir_state compute) = 1);
+      put_ok home_a "s|ann|bob" "1";
+      put_ok home_a "p|bob|0000000100" "hi";
+      (match
+         Net_client.call home_a
+           (Message.Migrate { table = "p"; lo = "p|"; hi = "p}"; dest = addr_b })
+       with
+      | Message.Pairs _ -> ()
+      | Message.Error msg -> Alcotest.failf "migrate failed: %s" msg
+      | _ -> Alcotest.fail "unexpected migrate response");
+      check_bool "compute still at the old epoch" true (fst (dir_state compute) = 1);
+      match scan_pairs compute "t|ann|" "t|ann}" with
+      | Ok [ ("t|ann|0000000100|bob", "hi") ] ->
+        check_bool "compute re-polled the seed" true (fst (dir_state compute) = 2)
+      | Ok pairs -> Alcotest.failf "cold read after the flip: %d pairs" (List.length pairs)
+      | Error msg -> Alcotest.failf "cold read after the flip failed: %s" msg)
+
 (* ------------------------------------------------------------------ *)
 (* Session consistency (docs/SESSIONS.md): read-your-writes across the
    cluster, asserted without a single poll — the stamped read itself
@@ -754,6 +811,7 @@ let () =
             test_migration_crash_safety;
           Alcotest.test_case "sub_check heals materialized output" `Quick
             test_directory_heal;
+          Alcotest.test_case "cold read right after a flip" `Quick test_read_after_flip;
         ] );
       ( "session",
         [
